@@ -1,10 +1,9 @@
 """Grid-domain laboratory for Laplace eigenfunctions and Brownian paths.
 
-Five pieces: grid domains with labeled walls (`geometry`), sparse Laplacian
+Four pieces: grid domains with labeled walls (`geometry`), sparse Laplacian
 eigensolves and heat semigroups on them (`spectral`), the ball first-exit
-function and its bounds (`theta`), killed/reflected path simulation
-(`brownian`), and the inequality battery tying them together (`verify`),
-plus a command line front end (`cli`).
+function and its bounds (`theta`), and killed/reflected path simulation
+(`brownian`).
 """
 
 from eigenwalk.geometry import (

@@ -14,24 +14,50 @@ comparable without calibration fudges:
 Each step resolves the proposed displacement by walking the lattice cell
 by cell: cross into an active neighbor and keep going, fold about a
 Neumann wall line (x before y, the documented tie-break), die beyond a
-Dirichlet ghost line.  Between-step absorption is recovered by the
-Brownian bridge correction: a step ending at distances d1, d2 from a kill
-line registers a crossing with probability exp(-d1*d2/dt).  One uniform
-per path per step is always drawn, whether or not the correction is on,
-so runs with and without it see identical trajectories and the corrected
-kill set contains the uncorrected one path by path.
+Dirichlet ghost line.  Most paths are far from any wall, and for them the
+walk only crosses open cells: each cell's margin, the chessboard distance
+to the nearest cell that is inactive or lacks an active neighbour, tells
+when a proposal lands in a cell it can reach that way, and such a path
+moves straight to that cell (the free-cell fast path, `_free_step`).
+Every other path goes through the cell walk.  Between-step absorption is
+recovered by the Brownian bridge correction: a step ending at distances
+d1, d2 from a kill line registers a crossing with probability
+exp(-d1*d2/dt), evaluated only for paths whose cells border a Dirichlet
+wall.  One uniform per path per step is always drawn, whether or not the
+correction is on, so runs with and without it see identical trajectories
+and the corrected kill set contains the uncorrected one path by path.
 
-Randomness is organized in fixed-size path batches keyed by
-(seed, stream, batch), reduced in batch order: estimates are pure
-functions of (seed, config, domain) regardless of thread count.
+One walk carries many start points.  Paths are laid out start-major,
+path = start * n_paths + j, and cut into fixed-size batches whose
+randomness is keyed by (seed, stream, batch) and reduced in batch order:
+estimates are pure functions of (seed, config, domain) regardless of
+thread count.  While any of its paths lives, a batch draws two normals
+and one uniform per path slot per step, dead slots included, and it keeps
+only live paths in its working arrays.  A single-start walk therefore
+makes the same moves as the earlier walker, which had one start per walk
+and sent every path through the cell walk: `survival_probability`,
+`feynman_kac`, `hit_probability` and `stopping_time_to_set` reproduce its
+fixed-seed outputs bitwise.  Two estimators changed their fixed-seed
+outputs on purpose:
+
+* `mixed_eigenvalue_via_decay` used to walk every start as its own batch
+  0, so all starts replayed one random stream and their errors were
+  correlated; in one start-major walk each start has its own paths.
+* `heat_content` used to weight a strided subset of start nodes by
+  (stride*h)^2, which skipped most of the strip next to the walls where
+  absorption is highest and biased the estimate low; it now draws each
+  path's start node with probability mass/area from its own stream.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -61,6 +87,11 @@ BATCH_PATHS = 16384
 _WALK_STREAM = 0x57414C4B  # distinct stream tag; theta's oracle uses its own
 _MAX_FOLDS = 8
 _BRIDGE_CUTOFF = 45.0  # exp(-45) ~ 3e-20: beyond this the bridge cannot fire
+_START_STREAM = 0x53544152  # heat_content's start-node draws
+
+# how a path's walk ended, per path as int8
+_HORIZON, _KILLED, _HIT = 0, 1, 2
+_REASONS = ("horizon", "killed", "hit_target")
 
 
 class BrownianError(RuntimeError):
@@ -161,11 +192,13 @@ class MixedDecayReport:
 
 
 class _Kernel:
-    """Immutable per-(domain, bc_mode) tables the step loop reads."""
+    """Immutable per-(domain, bc_mode) tables the step loop reads.
+
+    Holds no reference to the domain, so the per-domain cache below can
+    drop it with its domain."""
 
     def __init__(self, dom: GridDomain, bc_mode: str):
         labels = _effective_labels(dom, bc_mode)
-        self.dom = dom
         self.bc_mode = bc_mode
         self.h = dom.h
         self.ox, self.oy = dom.origin
@@ -177,12 +210,23 @@ class _Kernel:
         self.nwall = wall & (labels == NEUMANN)
         self.nbr = nbr
         self.mask = mask
-        self.any_dirichlet = bool(self.dwall.any())
-        # nearest active node per lattice cell, for the projection fallback
-        _, (jy, jx) = ndimage.distance_transform_edt(~mask,
+        self.has_dirichlet = self.dwall.any(axis=0)
+        self.any_dirichlet = bool(self.has_dirichlet.any())
+        # chessboard distance to the nearest cell that is inactive or lacks
+        # an active neighbour, capped at _MAX_FOLDS: a step to a cell closer
+        # than this crosses only free cells (see _free_step)
+        free = mask & nbr.all(axis=0)
+        self.margin = np.minimum(
+            ndimage.distance_transform_cdt(free, metric="chessboard"),
+            _MAX_FOLDS)
+
+    @cached_property
+    def near(self):
+        """Nearest active node (iy, ix) per lattice cell, for projecting
+        stragglers in _resolve_step."""
+        _, (jy, jx) = ndimage.distance_transform_edt(~self.mask,
                                                      return_indices=True)
-        self.near_iy = jy.astype(np.int32)
-        self.near_ix = jx.astype(np.int32)
+        return jy.astype(np.int32), jx.astype(np.int32)
 
     def to_frac(self, x, y):
         return (np.asarray(x, dtype=float) - self.ox) / self.h, \
@@ -193,15 +237,17 @@ class _Kernel:
         cy = np.clip(np.rint(fy).astype(np.int64), 0, self.ny - 1)
         return cx, cy
 
-    def start_state(self, x, y, n: int):
-        fx, fy = self.to_frac(x, y)
+    def start_table(self, points):
+        """(fx, fy, cx, cy) arrays of shape (S,) for S start points."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        fx, fy = self.to_frac(pts[:, 0], pts[:, 1])
         cx, cy = self.cell_of(fx, fy)
-        if not self.mask[cy, cx]:
-            raise BrownianError(f"start point ({float(x):g}, {float(y):g}) "
-                                f"is outside the domain")
-        return (np.full(n, float(fx)), np.full(n, float(fy)),
-                np.full(n, int(cx), dtype=np.int64),
-                np.full(n, int(cy), dtype=np.int64))
+        outside = ~self.mask[cy, cx]
+        if outside.any():
+            x, y = pts[int(np.argmax(outside))]
+            raise BrownianError(f"start point ({x:g}, {y:g}) is outside "
+                                f"the domain")
+        return fx, fy, cx, cy
 
     def kill_distance(self, fx, fy, cx, cy):
         """Distance (physical units) to the nearest Dirichlet ghost line
@@ -214,6 +260,21 @@ class _Kernel:
             dist = (c + sgn) - f if sgn > 0 else f - (c + sgn)
             np.minimum(d, np.where(has, dist, np.inf), out=d)
         return d * self.h
+
+
+_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_KERNELS_LOCK = threading.Lock()
+
+
+def _kernel(dom: GridDomain, bc_mode: str) -> _Kernel:
+    """The kernel of (dom, bc_mode), built once and shared by every
+    estimator; an entry lives exactly as long as its domain."""
+    with _KERNELS_LOCK:
+        per_mode = _KERNELS.setdefault(dom, {})
+        kern = per_mode.get(bc_mode)
+        if kern is None:
+            kern = per_mode[bc_mode] = _Kernel(dom, bc_mode)
+    return kern
 
 
 def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
@@ -275,7 +336,8 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
         k = np.nonzero(todo)[0]
         gy = np.clip(np.rint(fy[k]).astype(np.int64), 0, kern.ny - 1)
         gx = np.clip(np.rint(fx[k]).astype(np.int64), 0, kern.nx - 1)
-        ny_, nx_ = kern.near_iy[gy, gx], kern.near_ix[gy, gx]
+        near_iy, near_ix = kern.near
+        ny_, nx_ = near_iy[gy, gx], near_ix[gy, gx]
         fx[k] = nx_
         fy[k] = ny_
         cx[k] = nx_
@@ -283,108 +345,134 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
     return killed
 
 
-def _walk_batch(kern: _Kernel, batch_index: int, size: int, start,
-                n_steps: int, dt: float, seed: int, bridge: bool,
-                checkpoints=None, target_mask=None, fk_grid=None,
-                want_paths: bool = False):
-    """Simulate one batch; the only RNG consumer in the module.
+def _free_step(fx, fy, cx, cy, margin):
+    """Free-cell fast path: the cells proposals (fx, fy) from cells
+    (cx, cy) settle in, and the indices of the paths it does not cover.
 
-    Per step and path: two normal increments and one uniform, always in
-    that order, so every estimator mode sees identical trajectories.
-    Returns a dict of the requested accumulators.
+    Along each axis _resolve_step walks while |f - c| > 1/2, through open
+    cells ending at floor(f - 1/2) + 1 (f - 1/2 is exact for f >= 1/4, and
+    every cell within reach of a free cell has index >= 1).  If every cell
+    on the way is free, that is all it does, settling within _MAX_FOLDS
+    passes and leaving the position alone; a destination closer than the
+    start cell's margin (capped at _MAX_FOLDS) guarantees it.  Ties, with
+    f - 1/2 integral, stay on the start cell's side and are left out.
     """
-    rng = batch_rng(seed, _WALK_STREAM, batch_index)
+    gx, gy = fx - 0.5, fy - 0.5
+    tx, ty = np.floor(gx), np.floor(gy)
+    nx_ = tx.astype(np.int64) + 1
+    ny_ = ty.astype(np.int64) + 1
+    reach = np.maximum(np.abs(nx_ - cx), np.abs(ny_ - cy))
+    slow = np.flatnonzero((reach >= margin) | (tx == gx) | (ty == gy))
+    return nx_, ny_, slow
+
+
+@dataclass
+class _Walk:
+    """Batch-reduced outputs of one walk; per-path arrays in path order."""
+
+    surv: np.ndarray      # (checkpoints, starts) live-path counts
+    fk_sum: float
+    fk_sumsq: float
+    hit_step: np.ndarray  # step of the exit event, -1 for 'horizon'
+    reason: np.ndarray    # int8 _HORIZON / _KILLED / _HIT
+
+
+def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
+                bridge: bool, checkpoints=(), target_mask=None, fk_grid=None):
+    """Simulate one batch; the only consumer of path increments.
+
+    starts holds (fx, fy, cx, cy) per start point and sid the start of
+    each path.  Per step and batch slot: two normal increments and one
+    uniform, always in that order and drawn for dead slots too while any
+    path lives, so every estimator mode sees identical trajectories.  The
+    working arrays hold live paths only; `slot` maps them back to their
+    batch slots.
+    """
+    size = sid.size
     chunks = NormalChunks()
     sigma = math.sqrt(2.0 * dt) / kern.h  # per-coordinate, lattice units
-    fx, fy, cx, cy = kern.start_state(start[0], start[1], size)
-    alive = np.ones(size, dtype=bool)
-    reason = np.full(size, "horizon", dtype=object)
+    fx, fy, cx, cy = (a[sid] for a in starts)
+    slot = np.arange(size)
+    reason = np.full(size, _HORIZON, dtype=np.int8)
     hit_step = np.full(size, -1, dtype=np.int64)
+    ck = {int(s): i for i, s in enumerate(checkpoints)}
+    surv = np.zeros((len(ck), starts[0].size))
+    bridge = bridge and kern.any_dirichlet
+    # per-cell tables, read through flat cell indices cy * nx + cx
+    nx = kern.nx
+    margin = kern.margin.ravel()
+    has_dirichlet = kern.has_dirichlet.ravel()
+    target = None if target_mask is None else target_mask.ravel()
 
-    out = {}
-    if checkpoints is not None:
-        ckset = {int(s): i for i, s in enumerate(checkpoints)}
-        surv = np.zeros(len(checkpoints))
-    else:
-        ckset = {}
-        surv = None
-    if target_mask is not None:
-        in_target = target_mask[cy, cx] & alive
-        if in_target.any():
-            hit_step[in_target] = 0
-            alive[in_target] = False
-            reason[in_target] = "hit_target"
-    if want_paths:
-        track = np.empty((size, n_steps + 1, 2))
-        track[:, 0, 0] = kern.ox + fx * kern.h
-        track[:, 0, 1] = kern.oy + fy * kern.h
+    if target is not None:
+        home = target.take(cy * nx + cx)
+        if home.any():
+            hit_step[home] = 0
+            reason[home] = _HIT
+            keep = np.flatnonzero(~home)
+            fx, fy, cx, cy, slot = (a.take(keep) for a in (fx, fy, cx, cy,
+                                                           slot))
 
-    if 0 in ckset:
-        surv[ckset[0]] = float(alive.sum())
-
-    bridge_scale = kern.h * kern.h / dt if dt > 0 else 0.0  # unused marker
     for step in range(1, n_steps + 1):
+        if not slot.size:
+            break  # later draws would feed no path
         z = chunks.draw(rng, 2, size, 1, 1.0)[:, :, 0].astype(float)
         u = rng.random(size)  # always drawn: keeps kill modes aligned
-        if not alive.any():
-            if surv is not None and step in ckset:
-                surv[ckset[step]] = 0.0
-            if want_paths:
-                track[:, step] = track[:, step - 1]
-            continue
-        d1 = kern.kill_distance(fx, fy, cx, cy) if (bridge and
-                                                    kern.any_dirichlet) else None
-        px, py = fx.copy(), fy.copy()
-        fx[alive] += sigma * z[0, alive]
-        fy[alive] += sigma * z[1, alive]
-        killed = _resolve_step(kern, fx, fy, cx, cy, alive)
-        if killed.any():
-            reason[killed] = "killed"
-            hit_step[killed & (hit_step < 0)] = step
-        if d1 is not None and alive.any():
-            d2 = kern.kill_distance(fx, fy, cx, cy)
-            prod = d1 * d2
-            cand = alive & np.isfinite(prod) & (prod < _BRIDGE_CUTOFF * dt)
-            if cand.any():
-                p_cross = np.exp(-prod[cand] / dt)
-                snuffed = np.zeros(fx.shape, dtype=bool)
-                snuffed[cand] = u[cand] < p_cross
-                if snuffed.any():
-                    alive[snuffed] = False
-                    reason[snuffed] = "killed"
-                    hit_step[snuffed & (hit_step < 0)] = step
-                    fx[snuffed], fy[snuffed] = px[snuffed], py[snuffed]
-        if target_mask is not None and alive.any():
-            arrived = alive & target_mask[cy, cx]
-            if arrived.any():
-                hit_step[arrived] = step
-                alive[arrived] = False
-                reason[arrived] = "hit_target"
-        if surv is not None and step in ckset:
-            surv[ckset[step]] = float(alive.sum())
-        if want_paths:
-            track[:, step, 0] = kern.ox + fx * kern.h
-            track[:, step, 1] = kern.oy + fy * kern.h
+        if slot.size < size:
+            z = z.take(slot, axis=1)
+        cell = cy * nx + cx
+        if bridge:
+            wi = np.flatnonzero(has_dirichlet.take(cell))
+            d1 = kern.kill_distance(fx[wi], fy[wi], cx[wi], cy[wi])
+        fx += sigma * z[0]
+        fy += sigma * z[1]
 
-    del bridge_scale
-    if surv is not None:
-        out["surv_count"] = surv
-    if target_mask is not None:
-        hit = reason == "hit_target"
-        out["hit_count"] = float(hit.sum())
-        out["hit_step"] = hit_step
-        out["reason"] = reason
-    else:
-        out["reason"] = reason
+        nx_, ny_, slow = _free_step(fx, fy, cx, cy, margin.take(cell))
+        dead = np.zeros(slot.size, dtype=bool)
+        if slow.size:
+            sfx, sfy, scx, scy = fx[slow], fy[slow], cx[slow], cy[slow]
+            killed = _resolve_step(kern, sfx, sfy, scx, scy,
+                                   np.ones(slow.size, dtype=bool))
+            fx[slow], fy[slow] = sfx, sfy
+            nx_[slow], ny_[slow] = scx, scy
+            dead[slow[killed]] = True
+        cx, cy = nx_, ny_
+
+        if bridge and wi.size:
+            both = ~dead[wi] & has_dirichlet.take(cy[wi] * nx + cx[wi])
+            wi, d1 = wi[both], d1[both]
+            prod = d1 * kern.kill_distance(fx[wi], fy[wi], cx[wi], cy[wi])
+            cand = prod < _BRIDGE_CUTOFF * dt
+            if cand.any():
+                wc = wi[cand]
+                dead[wc[u[slot[wc]] < np.exp(-prod[cand] / dt)]] = True
+        if dead.any():
+            gone = slot[dead]
+            reason[gone] = _KILLED
+            hit_step[gone] = step
+        if target is not None:
+            arrived = ~dead & target.take(cy * nx + cx)
+            if arrived.any():
+                gone = slot[arrived]
+                reason[gone] = _HIT
+                hit_step[gone] = step
+                dead |= arrived
+        if dead.any():
+            keep = np.flatnonzero(~dead)
+            fx, fy, cx, cy, slot = (a.take(keep) for a in (fx, fy, cx, cy,
+                                                           slot))
+        if step in ck:
+            surv[ck[step]] = np.bincount(sid.take(slot),
+                                         minlength=surv.shape[1])
+
+    fk_sum = fk_sumsq = 0.0
     if fk_grid is not None:
-        vals = _bilinear(kern, fk_grid, fx, fy)
-        vals = np.where(alive, vals, 0.0)
-        out["fk_sum"] = float(vals.sum())
-        out["fk_sumsq"] = float((vals * vals).sum())
-    out["alive_count"] = float(alive.sum())
-    if want_paths:
-        out["paths"] = track
-    return out
+        # full-length and zero-filled, so the sum runs in slot order
+        vals = np.zeros(size)
+        vals[slot] = _bilinear(kern, fk_grid, fx, fy)
+        fk_sum = float(vals.sum())
+        fk_sumsq = float((vals * vals).sum())
+    return _Walk(surv, fk_sum, fk_sumsq, hit_step, reason)
 
 
 def _bilinear(kern: _Kernel, grid, fx, fy):
@@ -401,21 +489,37 @@ def _bilinear(kern: _Kernel, grid, fx, fy):
             + (1 - tx) * ty * g[y0 + 1, x0] + tx * ty * g[y0 + 1, x0 + 1])
 
 
-def _run_batches(kern, cfg: PathConfig, start, n_steps, dt, threads=1,
-                 **kw):
-    sizes = [min(BATCH_PATHS, cfg.n_paths - lo)
-             for lo in range(0, cfg.n_paths, BATCH_PATHS)]
+def _walk(kern: _Kernel, cfg: PathConfig, points, n_steps: int, dt: float,
+          threads: int = 1, pick=None, **kw) -> _Walk:
+    """Walk paths from the start points in BATCH_PATHS batches.
 
-    def job(i):
-        return _walk_batch(kern, i, sizes[i], start, n_steps, dt,
-                           cfg.seed, cfg.bridge_correction, **kw)
+    Without `pick` the layout is start-major: cfg.n_paths paths per start,
+    path = start * cfg.n_paths + j.  With it the walk has cfg.n_paths
+    paths in all, and pick(batch_index, size) gives their start indices.
+    Batches are keyed by (seed, batch) and reduced in batch order.
+    """
+    starts = kern.start_table(points)
+    n_total = cfg.n_paths if pick is not None else cfg.n_paths * starts[0].size
+    los = range(0, n_total, BATCH_PATHS)
 
-    if threads > 1 and len(sizes) > 1:
+    def job(b):
+        lo = los[b]
+        size = min(BATCH_PATHS, n_total - lo)
+        sid = (pick(b, size) if pick is not None
+               else np.arange(lo, lo + size) // cfg.n_paths)
+        return _walk_batch(kern, batch_rng(cfg.seed, _WALK_STREAM, b), starts,
+                           sid, n_steps, dt, cfg.bridge_correction, **kw)
+
+    if threads > 1 and len(los) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(len(sizes))))
+            parts = list(pool.map(job, range(len(los))))
     else:
-        results = [job(i) for i in range(len(sizes))]
-    return sizes, results
+        parts = [job(b) for b in range(len(los))]
+    return _Walk(surv=sum(p.surv for p in parts),
+                 fk_sum=sum(p.fk_sum for p in parts),
+                 fk_sumsq=sum(p.fk_sumsq for p in parts),
+                 hit_step=np.concatenate([p.hit_step for p in parts]),
+                 reason=np.concatenate([p.reason for p in parts]))
 
 
 def _bias_note(kern: _Kernel, dt: float) -> str:
@@ -478,20 +582,18 @@ def hit_probability(dom: GridDomain, target, cfg: PathConfig,
     mask, or a list of points (their cells).  Paths move under the
     domain's wall labels unless bc_mode forces dirichlet/neumann.
     """
-    kern = _Kernel(dom, bc_mode)
+    kern = _kernel(dom, bc_mode)
     start = _start_point(dom, cfg)
     n_steps, dt = cfg.resolve_steps(kern.h)
     tm = _target_mask(dom, target)
-    if tm is None:
-        sizes, res = _run_batches(kern, cfg, start, n_steps, dt,
-                                  threads=threads,
-                                  checkpoints=[n_steps])
-        hits = sum(s - r["surv_count"][0] for s, r in zip(sizes, res))
-    else:
-        sizes, res = _run_batches(kern, cfg, start, n_steps, dt,
-                                  threads=threads, target_mask=tm)
-        hits = sum(r["hit_count"] for r in res)
     n = cfg.n_paths
+    if tm is None:
+        walk = _walk(kern, cfg, [start], n_steps, dt, threads,
+                     checkpoints=[n_steps])
+        hits = n - walk.surv[0, 0]
+    else:
+        walk = _walk(kern, cfg, [start], n_steps, dt, threads, target_mask=tm)
+        hits = float(np.count_nonzero(walk.reason == _HIT))
     mean, stderr = _mean_stderr(hits, hits, n)  # indicator: sq == value
     return PathEstimate(mean=mean, stderr=stderr, n_paths=n, seed=cfg.seed,
                         bias_note=_bias_note(kern, dt))
@@ -502,15 +604,15 @@ def survival_probability(dom: GridDomain, x, t: float, cfg: PathConfig,
     """P(path from x not absorbed by time t) under the domain's labels."""
     if t < 0:
         raise BrownianError("t must be >= 0")
-    kern = _Kernel(dom, "mixed")
+    kern = _kernel(dom, "mixed")
     start = _start_point(dom, cfg, x)
     if t == 0:
         return PathEstimate(mean=1.0, stderr=0.0, n_paths=cfg.n_paths,
                             seed=cfg.seed, bias_note="t=0: survival is 1")
     n_steps, dt = cfg.resolve_steps(kern.h, horizon=t)
-    sizes, res = _run_batches(kern, cfg, start, n_steps, dt, threads=threads,
-                              checkpoints=[n_steps])
-    alive = sum(r["surv_count"][0] for r in res)
+    walk = _walk(kern, cfg, [start], n_steps, dt, threads,
+                 checkpoints=[n_steps])
+    alive = walk.surv[0, 0]
     mean, stderr = _mean_stderr(alive, alive, cfg.n_paths)
     return PathEstimate(mean=mean, stderr=stderr, n_paths=cfg.n_paths,
                         seed=cfg.seed, bias_note=_bias_note(kern, dt))
@@ -529,7 +631,7 @@ def feynman_kac(dom: GridDomain, result: SpectralResult, x, t: float,
         raise BrownianError("eigenfield grid does not match the domain")
     if t < 0:
         raise BrownianError("t must be >= 0")
-    kern = _Kernel(dom, result.bc_mode)
+    kern = _kernel(dom, result.bc_mode)
     start = _start_point(dom, cfg, x)
     grid = result.eigenfields[mode_index]
     lam = float(result.eigenvalues[mode_index])
@@ -542,11 +644,8 @@ def feynman_kac(dom: GridDomain, result: SpectralResult, x, t: float,
                                 z_score=0.0, n_paths=cfg.n_paths,
                                 seed=cfg.seed, bias_note="t=0: degenerate")
     n_steps, dt = cfg.resolve_steps(kern.h, horizon=t)
-    sizes, res = _run_batches(kern, cfg, start, n_steps, dt, threads=threads,
-                              fk_grid=grid)
-    tot = sum(r["fk_sum"] for r in res)
-    tot_sq = sum(r["fk_sumsq"] for r in res)
-    mean, stderr = _mean_stderr(tot, tot_sq, cfg.n_paths)
+    walk = _walk(kern, cfg, [start], n_steps, dt, threads, fk_grid=grid)
+    mean, stderr = _mean_stderr(walk.fk_sum, walk.fk_sumsq, cfg.n_paths)
     z = (mean - exact) / stderr if stderr > 0 else 0.0
     return FeynmanKacReport(mean=mean, stderr=stderr, exact=exact, z_score=z,
                             n_paths=cfg.n_paths, seed=cfg.seed,
@@ -560,7 +659,7 @@ def reflect_step(pos, proposed, dom: GridDomain):
     alternations, then projection to the nearest active node center.
     Deterministic; a proposal already inside comes back unchanged.
     """
-    kern = _Kernel(dom, "neumann")
+    kern = _kernel(dom, "neumann")
     fx0, fy0 = kern.to_frac(pos[0], pos[1])
     cx, cy = kern.cell_of(fx0, fy0)
     if not kern.mask[int(cy), int(cx)]:
@@ -587,72 +686,64 @@ def stopping_time_to_set(dom: GridDomain, target, bc: str,
              "reflect": "neumann", "neumann": "neumann", "mixed": "mixed"}
     if bc not in modes:
         raise BrownianError(f"bc must be kill, reflect or mixed, got {bc!r}")
-    kern = _Kernel(dom, modes[bc])
+    kern = _kernel(dom, modes[bc])
     start = _start_point(dom, cfg)
     tm = _target_mask(dom, target)
     if tm is None:
         raise BrownianError("stopping_time_to_set needs an explicit target "
                             "set, not 'boundary'")
     n_steps, dt = cfg.resolve_steps(kern.h)
-    sizes, res = _run_batches(kern, cfg, start, n_steps, dt, threads=threads,
-                              target_mask=tm)
-    samples = []
-    for r in res:
-        for step, why in zip(r["hit_step"], r["reason"]):
-            hit = why == "hit_target"
-            samples.append(StoppingSample(
-                hit=bool(hit),
-                T=float(step * dt) if step >= 0 else None,
-                exit_reason=str(why)))
-    return samples
+    walk = _walk(kern, cfg, [start], n_steps, dt, threads, target_mask=tm)
+    times = (walk.hit_step * dt).tolist()
+    return [StoppingSample(hit=code == _HIT, T=t if step >= 0 else None,
+                           exit_reason=_REASONS[code])
+            for step, t, code in zip(walk.hit_step.tolist(), times,
+                                     walk.reason.tolist())]
 
 
 def heat_content(dom: GridDomain, t: float, cfg: PathConfig,
                  result: SpectralResult | None = None,
-                 max_starts: int = 144, threads: int = 1) -> HeatContentEstimate:
+                 threads: int = 1) -> HeatContentEstimate:
     """Integral over the domain of the absorption probability by time t.
 
-    Estimated as a lattice-subsampled quadrature: every stride-th active
-    node launches cfg.n_paths killed paths, contributing its cell weight
-    (stride*h)^2 times the absorption fraction.  A Dirichlet spectral
-    result, if given, supplies the cross-check value
-    sum(m * (1 - q_t)).
+    Each of cfg.n_paths paths starts at an active node drawn with
+    probability mass/area (from its own stream, keyed like the path
+    batches), so area times the absorbed fraction estimates the lattice
+    quadrature sum(m * P_node(absorbed by t)) without bias; the stderr is
+    binomial.  A Dirichlet spectral result, if given, supplies the
+    cross-check value sum(m * (1 - q_t)).
     """
     if not (t > 0):
         raise BrownianError("t must be positive")
-    kern = _Kernel(dom, "mixed")
+    kern = _kernel(dom, "mixed")
     iy, ix = np.nonzero(dom.mask)
-    stride = 1
-    while (iy % stride == 0).sum() and \
-            ((iy % stride == 0) & (ix % stride == 0)).sum() > max_starts:
-        stride += 1
-    pick = (iy % stride == 0) & (ix % stride == 0)
-    sy, sx = iy[pick], ix[pick]
-    xs, ys = dom.node_xy(sy, sx)
-    w = (stride * dom.h) ** 2
+    m = dom.masses[iy, ix]
+    area = float(m.sum())
+    cdf = np.cumsum(m) / area
     n_steps, dt = cfg.resolve_steps(kern.h, horizon=t)
-    total = 0.0
-    var = 0.0
-    for x0, y0 in zip(xs, ys):
-        sizes, res = _run_batches(kern, cfg, (float(x0), float(y0)),
-                                  n_steps, dt, threads=threads,
-                                  checkpoints=[n_steps])
-        alive = sum(r["surv_count"][0] for r in res)
-        p_hit = 1.0 - alive / cfg.n_paths
-        total += w * p_hit
-        var += (w ** 2) * p_hit * (1 - p_hit) / max(1, cfg.n_paths - 1)
+
+    def pick(b, size):
+        u = batch_rng(cfg.seed, _START_STREAM, b).random(size)
+        return np.minimum(np.searchsorted(cdf, u, side="right"), m.size - 1)
+
+    walk = _walk(kern, cfg, np.column_stack(dom.node_xy(iy, ix)), n_steps,
+                 dt, threads, pick=pick, checkpoints=[n_steps])
+    n = cfg.n_paths
+    p_hit = 1.0 - float(walk.surv[0].sum()) / n
     spectral_value = None
     if result is not None:
         from .spectral import survival_profile
         q = survival_profile(result, t)
-        m = result.operator.masses
+        mr = result.operator.masses
         qv = result.operator.field_to_vector(q.field)
-        spectral_value = float((m * (1.0 - qv)).sum())
-    return HeatContentEstimate(value=total, stderr=math.sqrt(var),
+        spectral_value = float((mr * (1.0 - qv)).sum())
+    return HeatContentEstimate(value=area * p_hit,
+                               stderr=area * math.sqrt(
+                                   p_hit * (1.0 - p_hit) / max(1, n - 1)),
                                spectral_value=spectral_value,
-                               n_starts=int(len(xs)), t=t, seed=cfg.seed,
+                               n_starts=int(m.size), t=t, seed=cfg.seed,
                                bias_note=_bias_note(kern, dt)
-                               + f"; quadrature stride {stride}")
+                               + "; start nodes drawn by mass")
 
 
 def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
@@ -661,18 +752,19 @@ def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
                                threads: int = 1) -> MixedDecayReport:
     """Estimate the principal eigenvalue from survival decay.
 
-    Runs killed/reflected paths (per the domain's labels) from a
-    subsampled start grid, forms S(t) ~ integral of survival, and fits
-    -d log S / dt by least squares over t_grid.  If the log-survival
-    curve bends more than fit_tol (rms, relative to its drop), the decay
-    is not yet single-mode: raises with advice to extend t_grid.
+    Runs cfg.n_paths killed/reflected paths (per the domain's labels) from
+    each node of a subsampled start grid, all in one walk, forms
+    S(t) ~ integral of survival, and fits -d log S / dt by least squares
+    over t_grid.  If the log-survival curve bends more than fit_tol (rms,
+    relative to its drop), the decay is not yet single-mode: raises with
+    advice to extend t_grid.
     """
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size < 3:
         raise BrownianError("t_grid needs at least 3 times")
     if t_grid[0] <= 0:
         raise BrownianError("t_grid times must be positive")
-    kern = _Kernel(dom, "mixed")
+    kern = _kernel(dom, "mixed")
     if not kern.any_dirichlet:
         raise BrownianError("decay estimation needs at least one "
                             "Dirichlet-labeled wall")
@@ -688,15 +780,11 @@ def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
     pick = (iy % stride == 0) & (ix % stride == 0)
     xs, ys = dom.node_xy(iy[pick], ix[pick])
 
-    counts = np.zeros(len(steps))
-    csq = np.zeros(len(steps))
-    for x0, y0 in zip(xs, ys):
-        sizes, res = _run_batches(kern, cfg, (float(x0), float(y0)),
-                                  n_steps, dt, threads=threads,
-                                  checkpoints=steps)
-        frac = sum(r["surv_count"] for r in res) / cfg.n_paths
-        counts += frac
-        csq += frac * (1 - frac) / max(1, cfg.n_paths - 1)
+    walk = _walk(kern, cfg, np.column_stack([xs, ys]), n_steps, dt, threads,
+                 checkpoints=steps)
+    frac = walk.surv / cfg.n_paths  # (checkpoints, starts)
+    counts = frac.sum(axis=1)
+    csq = (frac * (1 - frac)).sum(axis=1) / max(1, cfg.n_paths - 1)
     S = counts / len(xs)
     if (S <= 0).any():
         raise BrownianError("survival hit zero inside t_grid; use more "

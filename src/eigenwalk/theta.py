@@ -37,8 +37,9 @@ from eigenwalk._rng import NormalChunks, batch_rng
 TRUNCATION_TOL = 1e-12
 MAX_TERMS = 1_000_000
 
-# Path streams are laid out in fixed-size Philox-keyed batches, so estimates
-# are a pure function of (seed, n_paths) no matter how batches are scheduled.
+# Path streams are laid out in fixed-size batches, each with its own SFC64
+# generator keyed by (seed, stream, batch), so estimates are a pure function
+# of (seed, n_paths) no matter how batches are scheduled.
 BATCH_PATHS = 32768
 _STEP_CHUNK = 32
 
