@@ -3,7 +3,8 @@
 Four pieces: grid domains with labeled walls (`geometry`), sparse Laplacian
 eigensolves and heat semigroups on them (`spectral`), the ball first-exit
 function and its bounds (`theta`), and killed/reflected path simulation
-(`brownian`).
+(`brownian`).  Each of these names is the submodule; the ball-exit
+function itself is `eigenwalk.theta.theta`.
 """
 
 from eigenwalk.geometry import (
@@ -24,7 +25,7 @@ from eigenwalk.spectral import (
     survival_profile,
     zeta_bound,
 )
-from eigenwalk.theta import ThetaValue, bessel_zeros, theta, theta_inverse
+from eigenwalk.theta import ThetaValue, bessel_zeros, theta_inverse
 
 __all__ = [
     "DomainError",
@@ -42,7 +43,6 @@ __all__ = [
     "set_distance",
     "solve_eigs",
     "survival_profile",
-    "theta",
     "theta_inverse",
     "zeta_bound",
 ]

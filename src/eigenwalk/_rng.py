@@ -2,9 +2,10 @@
 
 Monte Carlo estimators in this package draw paths in fixed-size batches.
 Each batch owns an independent generator keyed by (seed, stream tag, batch
-index) through SeedSequence, and results are reduced in batch order, so
-every estimate is a pure function of (seed, n_paths) no matter how batches
-are scheduled across threads.
+index) through SeedSequence, and `map_batches` runs the batches, serially
+or on a thread pool, and hands back their results in batch order for the
+caller to reduce, so every estimate is a pure function of (seed, n_paths)
+no matter how batches are scheduled across threads.
 
 Normals come from a vectorized Box-Muller transform over float32 uniforms
 rather than Generator.standard_normal: the ziggurat path is several times
@@ -16,6 +17,7 @@ below any tolerance used here.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,6 +28,15 @@ def batch_rng(seed: int, tag: int, batch_index: int) -> np.random.Generator:
     """Independent generator for one (seed, stream, batch) triple."""
     ss = np.random.SeedSequence([seed & _MASK64, tag, batch_index])
     return np.random.Generator(np.random.SFC64(ss))
+
+
+def map_batches(job, n_batches: int, threads: int) -> list:
+    """[job(0), ..., job(n_batches - 1)], in batch order, computed on a
+    pool of `threads` threads when that and the batch count exceed one."""
+    if threads > 1 and n_batches > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(job, range(n_batches)))
+    return [job(b) for b in range(n_batches)]
 
 
 def fill_normals(rng: np.random.Generator, out_flat: np.ndarray,

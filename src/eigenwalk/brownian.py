@@ -2,9 +2,9 @@
 
 Increments are Euler steps with per-coordinate variance 2*dt, matching the
 heat semigroup convention used by the spectral module (mode j decays like
-exp(-lam_j t)).  Boundary geometry is derived from the same lattice model
-as the finite-volume operator so Monte Carlo and eigensolve answers are
-comparable without calibration fudges:
+exp(-lam_j t)).  Boundary geometry is read from the same per-cell wall code
+(geometry.wall_code) the finite-volume operator is assembled from, so Monte
+Carlo and eigensolve answers are comparable without calibration fudges:
 
 * a Dirichlet wall kills on the ghost-node line, one full lattice step
   beyond the last active node (where the discrete eigenfields vanish);
@@ -55,15 +55,14 @@ import math
 import threading
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
 
-from ._rng import NormalChunks, batch_rng
-from .geometry import DIRICHLET, NEUMANN, GridDomain, _neighbor_active
+from ._rng import NormalChunks, batch_rng, map_batches
+from .geometry import GridDomain, wall_code
 from .spectral import SpectralResult, _effective_labels, grid_hash
 
 __all__ = [
@@ -86,6 +85,7 @@ __all__ = [
 BATCH_PATHS = 16384
 _WALK_STREAM = 0x57414C4B  # distinct stream tag; theta's oracle uses its own
 _MAX_FOLDS = 8
+_FREE = 0x0F  # wall code of a cell whose four neighbours are all active
 _BRIDGE_CUTOFF = 45.0  # exp(-45) ~ 3e-20: beyond this the bridge cannot fire
 _START_STREAM = 0x53544152  # heat_content's start-node draws
 
@@ -198,26 +198,21 @@ class _Kernel:
     drop it with its domain."""
 
     def __init__(self, dom: GridDomain, bc_mode: str):
-        labels = _effective_labels(dom, bc_mode)
         self.bc_mode = bc_mode
         self.h = dom.h
         self.ox, self.oy = dom.origin
-        mask = dom.mask
-        self.ny, self.nx = mask.shape
-        nbr = _neighbor_active(mask)
-        wall = mask & ~nbr
-        self.dwall = wall & (labels == DIRICHLET)   # (4, ny, nx)
-        self.nwall = wall & (labels == NEUMANN)
-        self.nbr = nbr
-        self.mask = mask
-        self.has_dirichlet = self.dwall.any(axis=0)
-        self.any_dirichlet = bool(self.has_dirichlet.any())
+        self.mask = dom.mask
+        self.ny, self.nx = dom.mask.shape
+        # the domain's wall code under bc_mode (geometry.wall_code), flat:
+        # cell (cy, cx) is entry cy * nx + cx
+        code = wall_code(dom.mask, _effective_labels(dom, bc_mode))
+        self.code = code.ravel()
+        self.any_dirichlet = bool((code >> 4).any())
         # chessboard distance to the nearest cell that is inactive or lacks
         # an active neighbour, capped at _MAX_FOLDS: a step to a cell closer
         # than this crosses only free cells (see _free_step)
-        free = mask & nbr.all(axis=0)
         self.margin = np.minimum(
-            ndimage.distance_transform_cdt(free, metric="chessboard"),
+            ndimage.distance_transform_cdt(code == _FREE, metric="chessboard"),
             _MAX_FOLDS)
 
     @cached_property
@@ -253,10 +248,11 @@ class _Kernel:
         """Distance (physical units) to the nearest Dirichlet ghost line
         bordering each path's cell; inf where the cell has no kill wall."""
         d = np.full(fx.shape, np.inf)
+        code = self.code.take(cy * self.nx + cx)
         sides = ((0, 1.0, fx, cx), (1, -1.0, fx, cx),
                  (2, 1.0, fy, cy), (3, -1.0, fy, cy))
         for dir_, sgn, f, c in sides:
-            has = self.dwall[dir_, cy, cx]
+            has = (code & (16 << dir_)) != 0
             dist = (c + sgn) - f if sgn > 0 else f - (c + sgn)
             np.minimum(d, np.where(has, dist, np.inf), out=d)
         return d * self.h
@@ -285,6 +281,7 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
     place plus `alive` for ghost-line kills; returns a boolean array
     marking paths killed during resolution.
     """
+    code, nx = kern.code, kern.nx
     killed = np.zeros(fx.shape, dtype=bool)
     todo = alive.copy()
     for _ in range(_MAX_FOLDS):
@@ -302,15 +299,15 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
             for sgn, dir_ in (((1.0), (0 if axis == 0 else 2)),
                               ((-1.0), (1 if axis == 0 else 3))):
                 sd = d * sgn
-                dwall = kern.dwall[dir_, jcy, jcx]
-                nwall = kern.nwall[dir_, jcy, jcx]
-                open_ = kern.nbr[dir_, jcy, jcx]
+                # read after the previous direction may have moved c
+                bits = code.take(jcy * nx + jcx)
                 # Dirichlet: dead past the ghost line at c + sgn
-                kill = dwall & (sd > 1.0)
-                # Neumann: fold about the node line at c
-                fold = nwall & (sd > 0.0)
+                kill = ((bits & (16 << dir_)) != 0) & (sd > 1.0)
+                # Neumann (neither open nor Dirichlet): fold about the
+                # node line at c
+                fold = ((bits & (0x11 << dir_)) == 0) & (sd > 0.0)
                 # open neighbor: walk one cell over
-                walk = open_ & (sd > 0.5)
+                walk = ((bits & (1 << dir_)) != 0) & (sd > 0.5)
                 if kill.any():
                     kj = j[kill]
                     killed[kj] = True
@@ -401,7 +398,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
     # per-cell tables, read through flat cell indices cy * nx + cx
     nx = kern.nx
     margin = kern.margin.ravel()
-    has_dirichlet = kern.has_dirichlet.ravel()
+    code = kern.code
     target = None if target_mask is None else target_mask.ravel()
 
     if target is not None:
@@ -422,7 +419,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
             z = z.take(slot, axis=1)
         cell = cy * nx + cx
         if bridge:
-            wi = np.flatnonzero(has_dirichlet.take(cell))
+            wi = np.flatnonzero(code.take(cell) >> 4)  # any Dirichlet wall
             d1 = kern.kill_distance(fx[wi], fy[wi], cx[wi], cy[wi])
         fx += sigma * z[0]
         fy += sigma * z[1]
@@ -439,7 +436,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
         cx, cy = nx_, ny_
 
         if bridge and wi.size:
-            both = ~dead[wi] & has_dirichlet.take(cy[wi] * nx + cx[wi])
+            both = ~dead[wi] & ((code.take(cy[wi] * nx + cx[wi]) >> 4) != 0)
             wi, d1 = wi[both], d1[both]
             prod = d1 * kern.kill_distance(fx[wi], fy[wi], cx[wi], cy[wi])
             cand = prod < _BRIDGE_CUTOFF * dt
@@ -510,11 +507,7 @@ def _walk(kern: _Kernel, cfg: PathConfig, points, n_steps: int, dt: float,
         return _walk_batch(kern, batch_rng(cfg.seed, _WALK_STREAM, b), starts,
                            sid, n_steps, dt, cfg.bridge_correction, **kw)
 
-    if threads > 1 and len(los) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, range(len(los))))
-    else:
-        parts = [job(b) for b in range(len(los))]
+    parts = map_batches(job, len(los), threads)
     return _Walk(surv=sum(p.surv for p in parts),
                  fk_sum=sum(p.fk_sum for p in parts),
                  fk_sumsq=sum(p.fk_sumsq for p in parts),

@@ -68,8 +68,9 @@ class DomainSpec:
             if bc not in _BC_NAMES:
                 raise DomainError(f"bc override {part}={bc!r} not recognized")
         for key, val in self.params.items():
-            if isinstance(val, (int, float)) and not val > 0:
-                raise DomainError(f"param {key} must be positive, got {val}")
+            if isinstance(val, (int, float)) and not 0 < val < math.inf:
+                raise DomainError(f"param {key} must be positive and "
+                                  f"finite, got {val}")
         p = self.params
         if (self.family == "dumbbell"
                 and p.get("neck_width", 0.0) >= p.get("lobe_height", math.inf)):
@@ -121,6 +122,9 @@ class GridDomain:
     labels_by_dir : (4, ny, nx) int8, read-only
         condition label a wall in that direction would carry; only entries
         where a wall actually exists are meaningful.
+    wall_code : (ny, nx) uint8, read-only
+        open neighbors and Dirichlet walls per node under these labels
+        (see ``wall_code``).
     regions : dict of named sub-masks (dumbbell: left_lobe, neck,
         right_lobe; octopus: body, tentacle_<k>).
     """
@@ -143,8 +147,11 @@ class GridDomain:
         self._validate_connected()
         self.labels_by_dir = np.asarray(wall_labels_by_dir, dtype=np.int8).copy()
         self.labels_by_dir.setflags(write=False)
-        self.walls = _extract_walls(self.mask, self.labels_by_dir)
-        self.masses = _quarter_cell_masses(self.mask, self.labels_by_dir) * self.h ** 2
+        self.wall_code = wall_code(self.mask, self.labels_by_dir)
+        self.wall_code.setflags(write=False)
+        self.walls = _extract_walls(self.mask, self.wall_code,
+                                    self.labels_by_dir)
+        self.masses = _quarter_cell_masses(self.mask, self.wall_code) * self.h ** 2
         self.masses.setflags(write=False)
 
     # -- basic measurements ------------------------------------------------
@@ -231,22 +238,35 @@ class GridDomain:
 # wall extraction and finite-volume masses
 
 
-def _neighbor_active(mask: np.ndarray) -> np.ndarray:
-    """(4, ny, nx) activity of the (+x, -x, +y, -y) neighbor, False off-grid."""
+def wall_code(mask: np.ndarray, labels) -> np.ndarray:
+    """Per-node wall code, (ny, nx) uint8: the one statement of which
+    neighbor of a node is open and which wall kills.
+
+    On an active node bit d (d indexing _DIRS: +x, -x, +y, -y) is set when
+    neighbor d is active, and bit 4+d when direction d is a Dirichlet wall;
+    a direction with both bits clear is a Neumann wall.  Inactive nodes
+    read 0.  ``labels`` is a (4, ny, nx) label array, or one label for
+    every wall.
+    """
     ny, nx = mask.shape
-    out = np.zeros((4, ny, nx), dtype=bool)
-    out[0, :, : nx - 1] = mask[:, 1:]
-    out[1, :, 1:] = mask[:, : nx - 1]
-    out[2, : ny - 1, :] = mask[1:, :]
-    out[3, 1:, :] = mask[: ny - 1, :]
-    return out
+    nbr = np.zeros((4, ny, nx), dtype=bool)  # off-grid neighbors: inactive
+    nbr[0, :, : nx - 1] = mask[:, 1:]
+    nbr[1, :, 1:] = mask[:, : nx - 1]
+    nbr[2, : ny - 1, :] = mask[1:, :]
+    nbr[3, 1:, :] = mask[: ny - 1, :]
+    kill = ~nbr & (np.asarray(labels) == DIRICHLET)
+    code = np.zeros(mask.shape, dtype=np.uint8)
+    for d in range(4):
+        code[mask & nbr[d]] |= 1 << d
+        code[mask & kill[d]] |= 16 << d
+    return code
 
 
-def _extract_walls(mask: np.ndarray, labels_by_dir: np.ndarray) -> np.ndarray:
-    nbr = _neighbor_active(mask)
+def _extract_walls(mask: np.ndarray, code: np.ndarray,
+                   labels_by_dir: np.ndarray) -> np.ndarray:
     recs = []
     for d in range(4):
-        iy, ix = np.nonzero(mask & ~nbr[d])
+        iy, ix = np.nonzero(mask & ((code & (1 << d)) == 0))
         lab = labels_by_dir[d, iy, ix]
         recs.append((iy, ix, np.full(iy.size, d, dtype=np.int8), lab))
     dtype = np.dtype([("iy", np.int32), ("ix", np.int32),
@@ -283,7 +303,7 @@ def _wall_segments(dom: GridDomain) -> np.ndarray:
     return segs
 
 
-def _quarter_presence(mask: np.ndarray, labels_by_dir: np.ndarray) -> dict:
+def _quarter_presence(mask: np.ndarray, code: np.ndarray) -> dict:
     """Per-node quarter-cell presence, keyed by quadrant sign pair (sx, sy).
 
     A node owns up to four quarter cells.  The (sx, sy) quarter is present
@@ -291,33 +311,29 @@ def _quarter_presence(mask: np.ndarray, labels_by_dir: np.ndarray) -> dict:
     there is Dirichlet, in which case the cell runs to the pinned wall;
     that choice keeps mixed-rectangle discrete eigenfunctions exact) and
     the quarter is not cut off by a missing diagonal between two active
-    axis neighbors (re-entrant corner)."""
-    nbr = _neighbor_active(mask)
-    dir_of = {(0, 1): 0, (0, -1): 1, (1, 0): 2, (-1, 0): 3}
-    covered = np.empty((4, *mask.shape), dtype=bool)
-    for d in range(4):
-        covered[d] = nbr[d] | (labels_by_dir[d] == DIRICHLET)
+    axis neighbors (re-entrant corner).  ``code`` is the wall code."""
     ny, nx = mask.shape
     out = {}
     for sx in (1, -1):
         for sy in (1, -1):
-            dx = dir_of[(0, sx)]
-            dy = dir_of[(sy, 0)]
+            dx = _DIRS.index((0, sx))
+            dy = _DIRS.index((sy, 0))
             diag = np.zeros(mask.shape, dtype=bool)
             src_y = slice(1, ny) if sy > 0 else slice(0, ny - 1)
             dst_y = slice(0, ny - 1) if sy > 0 else slice(1, ny)
             src_x = slice(1, nx) if sx > 0 else slice(0, nx - 1)
             dst_x = slice(0, nx - 1) if sx > 0 else slice(1, nx)
             diag[dst_y, dst_x] = mask[src_y, src_x]
-            out[(sx, sy)] = mask & covered[dx] & covered[dy] \
-                & (diag | ~nbr[dx] | ~nbr[dy])
+            both_open = ((code & (1 << dx)) != 0) & ((code & (1 << dy)) != 0)
+            covered = ((code & (0x11 << dx)) != 0) & ((code & (0x11 << dy)) != 0)
+            out[(sx, sy)] = covered & (diag | ~both_open)
     return out
 
 
-def _quarter_cell_masses(mask: np.ndarray, labels_by_dir: np.ndarray) -> np.ndarray:
+def _quarter_cell_masses(mask: np.ndarray, code: np.ndarray) -> np.ndarray:
     """Finite-volume cell fraction per node, in units of h^2 (see
     _quarter_presence for which quarters count)."""
-    quarters = _quarter_presence(mask, labels_by_dir)
+    quarters = _quarter_presence(mask, code)
     total = np.zeros(mask.shape, dtype=np.int8)
     for present in quarters.values():
         total += present.astype(np.int8)
@@ -619,6 +635,24 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     lower = half(p)
     upper = half(p[::-1])
     return np.array(lower[:-1] + upper[:-1])
+
+
+def lattice_convex(mask: np.ndarray) -> bool:
+    """True when every lattice node inside the convex hull of the active
+    nodes is active, as for any rasterized convex shape."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    first = mask[rows].argmax(axis=1)
+    last = mask.shape[1] - 1 - mask[rows, ::-1].argmax(axis=1)
+    # each row's end nodes span the same hull as all active nodes
+    ends = np.column_stack([np.concatenate([first, last]),
+                            np.concatenate([rows, rows])]).astype(float)
+    hull = _convex_hull(ends)
+    y0, x0 = rows[0], first.min()
+    gy, gx = np.mgrid[y0:rows[-1] + 1, x0:last.max() + 1]
+    inside = np.ones(gy.shape, dtype=bool)
+    for a, b in zip(hull, np.roll(hull, -1, axis=0)):  # counterclockwise
+        inside &= (b[0] - a[0]) * (gy - a[1]) - (b[1] - a[1]) * (gx - a[0]) >= 0
+    return bool(mask[gy[inside], gx[inside]].all())
 
 
 def _cross(o, a, b) -> float:
@@ -926,24 +960,31 @@ def _any_crossing(sa: np.ndarray, sb: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # raster I/O
 
-def write_pgm(path: str, mask: np.ndarray) -> None:
-    """Binary PGM (P5), one byte per node, 255 = active.  Rows are written
+def write_pgm(path, image: np.ndarray) -> None:
+    """Binary PGM (P5), one byte per node.  A boolean mask is written as
+    255 = active, 0 = inactive; a uint8 image as it is.  Rows are written
     image-style: the top file row is the largest y."""
-    data = np.where(mask[::-1], 255, 0).astype(np.uint8)
+    if image.dtype == bool:
+        image = np.where(image, 255, 0).astype(np.uint8)
+    data = image[::-1]
     ny, nx = data.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 
 
-def read_pgm(path: str) -> np.ndarray:
+def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) or ascii (P2) PGM mask written by write_pgm.
 
     Returns a boolean lattice-ordered array (row 0 is the smallest y);
-    values above 127 count as active.  Inverse of write_pgm.
+    values above 127 count as active.  Inverse of write_pgm.  Raises
+    ValueError naming the problem for an empty file, a short or malformed
+    header, too few pixels, or an ascii sample above maxval.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
+    if not blob:
+        raise ValueError(f"{path}: empty file, not a PGM image")
     fields: list[bytes] = []
     i = 0
     while len(fields) < 4 and i < len(blob):
@@ -956,18 +997,30 @@ def read_pgm(path: str) -> np.ndarray:
         j = i
         while j < len(blob) and not blob[j:j + 1].isspace():
             j += 1
-        fields.append(blob[i:j])
+        if j > i:
+            fields.append(blob[i:j])
         i = j
-    magic, w, hgt, maxv = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
-    if magic == b"P5":
-        i += 1  # single whitespace after maxval
-        raw = np.frombuffer(blob, dtype=np.uint8, count=w * hgt, offset=i)
-    elif magic == b"P2":
-        raw = np.array(blob[i:].split(), dtype=np.uint16).astype(np.uint8)[: w * hgt]
-    else:
+    magic = fields[0] if fields else b""
+    if magic not in (b"P5", b"P2"):
         raise ValueError(f"not a PGM file: magic {magic!r}")
+    if len(fields) < 4 or not all(f.isdigit() for f in fields[1:]):
+        raise ValueError(f"{path}: short or malformed PGM header "
+                         f"{b' '.join(fields)!r}; need magic, width, "
+                         f"height and maxval")
+    w, hgt, maxv = (int(f) for f in fields[1:])
     if maxv > 255:
         raise ValueError("16-bit PGM not supported")
+    if magic == b"P5":
+        i += 1  # single whitespace after maxval
+        raw = np.frombuffer(blob[i:i + w * hgt], dtype=np.uint8)
+    else:
+        raw = np.array(blob[i:].split()[: w * hgt], dtype=np.int64)
+        if raw.size and raw.max() > maxv:
+            raise ValueError(f"{path}: P2 sample {raw.max()} exceeds maxval "
+                             f"{maxv}")
+    if raw.size < w * hgt:
+        raise ValueError(f"{path}: truncated PGM data, {raw.size} of "
+                         f"{w} x {hgt} = {w * hgt} pixels")
     return (raw.reshape(hgt, w) > 127)[::-1]
 
 

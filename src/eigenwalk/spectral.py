@@ -27,7 +27,9 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
-from .geometry import DIRICHLET, NEUMANN, GridDomain, _quarter_presence
+from .geometry import (_BC_NAMES, DIRICHLET, NEUMANN, GridDomain,
+                       _quarter_presence, diameter, lattice_convex, wall_code,
+                       write_pgm)
 
 __all__ = [
     "SpectralError",
@@ -47,9 +49,6 @@ __all__ = [
     "write_result_json",
     "grid_hash",
 ]
-
-_BC_CODES = {"dirichlet": DIRICHLET, "neumann": NEUMANN}
-
 
 class SpectralError(RuntimeError):
     """Eigensolve failed to reach the requested residual, or an operator
@@ -137,7 +136,9 @@ class HeatState:
 @dataclass(frozen=True)
 class ClassicalBounds:
     """Planar spectral-gap bracket from diameter and area alone:
-    1/diam^2 <= mu_2 <= 4*pi/area (Szego-Weinberger on the right)."""
+    mu2_lower <= mu_2 <= mu2_upper = 4*pi/area (Szego-Weinberger).
+    mu2_lower is 1/diam^2 on convex domains and 0.0 otherwise (see
+    classical_bounds)."""
 
     diameter: float
     area: float
@@ -149,7 +150,9 @@ class ClassicalBounds:
 # assembly
 
 
-def _effective_labels(dom: GridDomain, bc_mode: str) -> np.ndarray:
+def _effective_labels(dom: GridDomain, bc_mode: str):
+    """Wall labels under bc_mode: the domain's own (4, ny, nx) labels for
+    'mixed', else the one label every wall takes."""
     if bc_mode == "mixed":
         labels = dom.labels_by_dir
         on_walls = dom.walls["label"]
@@ -162,11 +165,10 @@ def _effective_labels(dom: GridDomain, bc_mode: str) -> np.ndarray:
                 f"({int(dom.walls['iy'][j])}, {int(dom.walls['ix'][j])})")
         return labels
     try:
-        code = _BC_CODES[bc_mode]
+        return _BC_NAMES[bc_mode]
     except KeyError:
         raise ValueError(f"bc_mode must be 'dirichlet', 'neumann' or "
                          f"'mixed', got {bc_mode!r}") from None
-    return np.full((4, *dom.mask.shape), code, dtype=np.int8)
 
 
 def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperator:
@@ -180,15 +182,17 @@ def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperat
     Entries: a lattice edge between active nodes contributes conductance
     w in {1/2, 1} (one half per backing quarter cell), a Dirichlet wall
     adds w to the diagonal of its node, and a Neumann wall contributes
-    nothing.  Masses are the quarter-cell areas; for an all-Dirichlet
-    domain they are exactly h^2, reducing B to the textbook 5-point
-    stencil with diagonal 4/h^2.
+    nothing.  Which neighbors are open and which walls are Dirichlet is
+    read from the domain's wall code (geometry.wall_code) under bc_mode.
+    Masses are the quarter-cell areas.  On an all-Dirichlet domain they
+    are h^2 except at nodes whose quarter cell a re-entrant corner cuts
+    off (0.75*h^2, with half-conductance edges along that quarter); away
+    from those nodes B is the textbook 5-point stencil with diagonal 4/h^2.
     """
-    labels = _effective_labels(dom, bc_mode)
     mask = dom.mask
-    ny, nx = mask.shape
+    code = wall_code(mask, _effective_labels(dom, bc_mode))
     h = dom.h
-    quarters = _quarter_presence(mask, labels)
+    quarters = _quarter_presence(mask, code)
     masses = np.zeros(mask.shape)
     for present in quarters.values():
         masses += present * (h * h / 4.0)
@@ -230,14 +234,8 @@ def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperat
     # each direction: +x, -x, +y, -y.
     flank = {0: ((1, 1), (1, -1)), 1: ((-1, 1), (-1, -1)),
              2: ((1, 1), (-1, 1)), 3: ((1, -1), (-1, -1))}
-    nbr_dir = np.zeros((4, ny, nx), dtype=bool)
-    nbr_dir[0, :, :-1] = mask[:, 1:]
-    nbr_dir[1, :, 1:] = mask[:, :-1]
-    nbr_dir[2, :-1, :] = mask[1:, :]
-    nbr_dir[3, 1:, :] = mask[:-1, :]
     for d in range(4):
-        on_wall = mask & ~nbr_dir[d] & (labels[d] == DIRICHLET)
-        wy, wx = np.nonzero(on_wall)
+        wy, wx = np.nonzero(code & (16 << d))
         if not wy.size:
             continue
         qa, qb = flank[d]
@@ -457,13 +455,19 @@ def survival_profile(result: SpectralResult, t: float,
 
 
 def classical_bounds(dom: GridDomain) -> ClassicalBounds:
-    """Bracket the planar Neumann spectral gap by geometry alone."""
-    from .geometry import diameter
+    """Bracket the planar Neumann spectral gap by geometry alone.
 
+    The lower end 1/diam^2 holds only for convex domains, where
+    Payne-Weinberger gives the stronger pi^2/diam^2.  No diameter bound
+    exists otherwise: narrowing a dumbbell's neck drives mu_2 to zero at
+    fixed diameter (neck 0.05 x 1.0 at resolution 256: mu_2 = 0.0645 <
+    1/diam^2 = 0.0991).  So mu2_lower is 1/diam^2 only when the active
+    nodes are lattice-convex (geometry.lattice_convex), and 0.0 otherwise.
+    """
     d = diameter(dom)
     a = dom.area()
-    return ClassicalBounds(diameter=d, area=a,
-                           mu2_lower=1.0 / (d * d),
+    lower = 1.0 / (d * d) if lattice_convex(dom.mask) else 0.0
+    return ClassicalBounds(diameter=d, area=a, mu2_lower=lower,
                            mu2_upper=4.0 * math.pi / a)
 
 
@@ -521,11 +525,7 @@ def write_field_pgm(path, dom: GridDomain, field_grid) -> None:
     else:
         levels = 1.0 + 254.0 * (f - lo) / span
     img = np.where(dom.mask, np.clip(np.rint(levels), 1, 255), 0)
-    img = img.astype(np.uint8)[::-1]
-    ny, nx = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+    write_pgm(path, img.astype(np.uint8))
 
 
 def result_metadata(result: SpectralResult) -> dict:

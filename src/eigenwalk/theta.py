@@ -26,13 +26,12 @@ the half-Laplacian clock and is excluded by dozens of standard errors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, jv, jvp
 
-from eigenwalk._rng import NormalChunks, batch_rng
+from eigenwalk._rng import NormalChunks, batch_rng, map_batches
 
 TRUNCATION_TOL = 1e-12
 MAX_TERMS = 1_000_000
@@ -62,14 +61,19 @@ def _newton_zeros(nu: float, k: int) -> np.ndarray:
     # two-term McMahon guess; inside Newton's basin for every k >= 1
     x = beta - (mu - 1.0) / (8.0 * beta) \
         - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3)
+    # each zero iterates on its own until its step drops below 1e-9, after
+    # which the quadratic error (under step^2 / 2) is below rounding; so a
+    # zero depends only on (nu, its index), not on how many were requested
+    todo = np.arange(k)
     for _ in range(60):
-        f = jv(nu, x)
-        if np.all(np.abs(f) < 1e-13):
+        if not todo.size:
             break
-        step = f / jvp(nu, x)
+        xt = x[todo]
+        step = jv(nu, xt) / jvp(nu, xt)
         # keep each iterate inside its own interlacing window
         np.clip(step, -1.0, 1.0, out=step)
-        x = x - step
+        x[todo] = xt - step
+        todo = todo[np.abs(step) >= 1e-9]
     resid = np.abs(jv(nu, x))
     if not np.all(resid < 1e-12):
         raise RuntimeError(
@@ -80,9 +84,20 @@ def _newton_zeros(nu: float, k: int) -> np.ndarray:
     return x
 
 
-# zero cache: grown by whole-array replacement, entries immutable once stored
+# One zero cache, per order nu, grown by whole-array replacement; stored
+# arrays are immutable, and growing one keeps its prefix bit for bit.  The
+# theta series caches only its coefficients, per dimension n, beside it.
 _ZEROS: dict[float, np.ndarray] = {}
-_COEFS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_COEFS: dict[int, np.ndarray] = {}
+
+
+def _zeros(nu: float, k: int) -> np.ndarray:
+    """The cached, read-only zeros of J_nu: at least the first k."""
+    cached = _ZEROS.get(nu)
+    if cached is None or cached.size < k:
+        cached = _newton_zeros(nu, max(k, 128, 0 if cached is None else 2 * cached.size))
+        _ZEROS[nu] = cached
+    return cached
 
 
 def bessel_zeros(nu: float, k: int) -> np.ndarray:
@@ -96,27 +111,20 @@ def bessel_zeros(nu: float, k: int) -> np.ndarray:
         raise ValueError("k must be >= 1")
     if nu < -0.5:
         raise ValueError("nu must be >= -0.5")
-    key = float(nu)
-    cached = _ZEROS.get(key)
-    if cached is None or cached.size < k:
-        cached = _newton_zeros(key, max(k, 128, 0 if cached is None else 2 * cached.size))
-        _ZEROS[key] = cached
-    return cached[:k].copy()
+    return _zeros(float(nu), k)[:k].copy()
 
 
 def _series_terms(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Zeros j_{nu,k} and coefficients a_{nu,k} for dimension n, cached."""
-    cached = _COEFS.get(n)
-    if cached is None or cached[0].size < k:
-        nu = n / 2.0 - 1.0
-        count = max(k, 128, 0 if cached is None else 2 * cached[0].size)
-        zeros = _newton_zeros(nu, count)
+    nu = n / 2.0 - 1.0
+    coef = _COEFS.get(n)
+    if coef is None or coef.size < k:
+        zeros = _zeros(nu, k)
         coef = zeros ** (nu - 1.0) / (
             2.0 ** (nu - 1.0) * math.gamma(nu + 1.0) * jv(nu + 1.0, zeros))
         coef.setflags(write=False)
-        cached = (zeros, coef)
-        _COEFS[n] = cached
-    return cached[0][:k], cached[1][:k]
+        _COEFS[n] = coef
+    return _zeros(nu, k)[:k], coef[:k]
 
 
 def theta(n: int, c: float) -> ThetaValue:
@@ -349,17 +357,10 @@ def mc_exit_probability(n: int, c: float, n_paths: int, seed: int = 0,
     n_steps = int(round(1.0 / dt_factor))
 
     sizes = [min(BATCH_PATHS, n_paths - lo) for lo in range(0, n_paths, BATCH_PATHS)]
-    sums = np.empty(len(sizes))
-    sqs = np.empty(len(sizes))
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_mc_exit_batch, n, b, m, seed, n_steps, dt)
-                    for b, m in enumerate(sizes)]
-            for b, fut in enumerate(futs):
-                sums[b], sqs[b] = fut.result()
-    else:
-        for b, m in enumerate(sizes):
-            sums[b], sqs[b] = _mc_exit_batch(n, b, m, seed, n_steps, dt)
+    parts = map_batches(
+        lambda b: _mc_exit_batch(n, b, sizes[b], seed, n_steps, dt),
+        len(sizes), threads)
+    sums, sqs = (np.array(col) for col in zip(*parts))
 
     mean_w = float(sums.sum()) / n_paths
     var = max(float(sqs.sum()) / n_paths - mean_w * mean_w, 0.0)

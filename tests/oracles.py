@@ -79,3 +79,23 @@ def discrete_rectangle_neumann_eigenvalue(h: float, n_nodes: int,
                                           k: int) -> float:
     """Exact 1d eigenvalue of the FV Neumann Laplacian on n nodes."""
     return 4.0 / h ** 2 * math.sin(k * math.pi / (2.0 * (n_nodes - 1))) ** 2
+
+
+def wall_code(mask, labels_by_dir) -> np.ndarray:
+    """Per-node wall code by a scalar scan: on an active node, bit d is set
+    when its neighbor d (+x, -x, +y, -y) is an active node, and bit 4+d when
+    that neighbor is missing and the wall label there is Dirichlet (0)."""
+    ny, nx = mask.shape
+    out = np.zeros((ny, nx), dtype=np.uint8)
+    steps = ((0, 1), (0, -1), (1, 0), (-1, 0))
+    for iy in range(ny):
+        for ix in range(nx):
+            if not mask[iy, ix]:
+                continue
+            for d, (dy, dx) in enumerate(steps):
+                jy, jx = iy + dy, ix + dx
+                if 0 <= jy < ny and 0 <= jx < nx and mask[jy, jx]:
+                    out[iy, ix] |= 1 << d
+                elif labels_by_dir[d][iy][ix] == 0:
+                    out[iy, ix] |= 16 << d
+    return out

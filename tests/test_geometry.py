@@ -184,6 +184,61 @@ def test_mixed_bc_rectangle_mass_and_labels():
     assert (labels == NEUMANN).sum() > 0
 
 
+@pytest.mark.parametrize("spec", [
+    DomainSpec("rectangle", {"width": 2.0, "height": 1.0}, 24, "dirichlet",
+               bc_overrides={"top": "neumann", "bottom": "neumann"}),
+    DomainSpec("rectangle", {}, 16, "neumann", bc_overrides={"left": "dirichlet"}),
+    DomainSpec("dumbbell", {"neck_width": 0.25, "neck_length": 0.5}, 40, "dirichlet"),
+    DomainSpec("l_shape", {}, 20, "neumann"),
+    DomainSpec("annulus", {}, 24, "dirichlet"),
+], ids=["mixed_rect", "left_dirichlet", "dumbbell", "l_shape", "annulus"])
+def test_wall_code_matches_scalar_scan(spec):
+    dom = build_domain(spec)
+    assert np.array_equal(dom.wall_code,
+                          oracles.wall_code(dom.mask, dom.labels_by_dir))
+    for label in (DIRICHLET, NEUMANN):
+        forced = np.full((4, *dom.shape), label)
+        assert np.array_equal(geo.wall_code(dom.mask, label),
+                              oracles.wall_code(dom.mask, forced))
+    # one wall record per active node and closed direction, labels kept
+    closed = sum(int((dom.mask & ((dom.wall_code & (1 << d)) == 0)).sum())
+                 for d in range(4))
+    assert dom.walls.size == closed
+    kill = (dom.wall_code[dom.walls["iy"], dom.walls["ix"]]
+            >> (4 + dom.walls["dir"].astype(np.uint8))) & 1
+    assert np.array_equal(kill == 1, dom.walls["label"] == DIRICHLET)
+
+
+@pytest.mark.parametrize("spec, convex", [
+    (DomainSpec("rectangle", {"width": 1.0, "height": 0.6}, 20, "dirichlet"), True),
+    (DomainSpec("disk", {}, 31, "neumann"), True),
+    (DomainSpec("custom_mask", {"rows": ["010", "111", "010"]}, 16), True),
+    (DomainSpec("l_shape", {}, 20, "neumann"), False),
+    (DomainSpec("annulus", {}, 24, "dirichlet"), False),
+    (DomainSpec("custom_mask", {"rows": ["101", "111"]}, 16), False),
+], ids=["rectangle", "disk", "plus", "l_shape", "annulus", "u_shape"])
+def test_lattice_convex_matches_delaunay_hull(spec, convex):
+    """Every lattice node inside the hull of the active nodes (Delaunay
+    point location, independent of the package's hull) is active."""
+    from scipy.spatial import Delaunay
+
+    mask = build_domain(spec).mask
+    iy, ix = np.nonzero(mask)
+    gy, gx = np.nonzero(np.ones_like(mask))
+    tri = Delaunay(np.column_stack([ix, iy]).astype(float))
+    inside = tri.find_simplex(np.column_stack([gx, gy]).astype(float),
+                              tol=1e-9) >= 0
+    assert bool(mask[gy[inside], gx[inside]].all()) == convex
+    assert geo.lattice_convex(mask) == convex
+
+
+def test_spec_rejects_non_finite_params():
+    with pytest.raises(DomainError, match="finite"):
+        DomainSpec("rectangle", {"width": math.inf, "height": 1.0})
+    with pytest.raises(DomainError, match="finite"):
+        DomainSpec("custom_mask", {"cell_size": math.inf, "rows": ["11"]})
+
+
 def test_build_is_deterministic():
     a = build_domain(DomainSpec(family="disk", params={"radius": 1.0},
                                 resolution=64))
@@ -367,6 +422,38 @@ def test_pgm_roundtrip(tmp_path):
     assert np.array_equal(read_pgm(str(path)), dom.mask)
     head = path.read_bytes()[:2]
     assert head == b"P5"
+
+
+def test_pgm_writes_uint8_image_as_is(tmp_path):
+    img = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    path = tmp_path / "img.pgm"
+    write_pgm(str(path), img)
+    raw = path.read_bytes()
+    assert raw == b"P5\n4 3\n255\n" + img[::-1].tobytes()
+
+
+@pytest.mark.parametrize("blob, match", [
+    (b"", "empty file"),
+    (b"P5\n4\n", "header"),
+    (b"P5\n4 x\n255\n", "header"),
+    (b"P5\n4 3\n255\n" + bytes(7), "truncated"),
+    (b"P2\n2 2\n255\n0 255 0\n", "truncated"),
+    (b"P2\n2 1\n255\n300 0\n", "maxval"),
+    (b"GIF89a", "not a PGM"),
+], ids=["empty", "short_header", "bad_header", "truncated_p5",
+        "truncated_p2", "p2_above_maxval", "bad_magic"])
+def test_read_pgm_rejects_broken_files(tmp_path, blob, match):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=match):
+        read_pgm(str(path))
+
+
+def test_read_ascii_pgm(tmp_path):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P2\n# comment\n3 2\n255\n0 200 0\n255 128 127\n")
+    assert np.array_equal(read_pgm(str(path)),
+                          [[True, True, False], [False, True, False]])
 
 
 def test_custom_mask_from_pgm_matches_rows(tmp_path):

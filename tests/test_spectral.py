@@ -397,6 +397,17 @@ class TestClosedForms:
         assert cb.mu2_lower <= math.pi ** 2 <= cb.mu2_upper
         assert cb.diameter == pytest.approx(diameter(dom), rel=0)
 
+    def test_classical_lower_bound_dropped_off_convex(self):
+        """On a Neumann dumbbell mu_2 falls below 1/diam^2, so the bracket
+        reports no diameter lower bound there."""
+        dom = build_domain(DomainSpec(
+            "dumbbell", {"neck_width": 0.05, "neck_length": 1.0}, 256,
+            bc_default="neumann"))
+        cb = classical_bounds(dom)
+        assert cb.mu2_lower == 0.0
+        mu2 = solve_eigs(assemble_laplacian(dom, "neumann"), k=2).eigenvalues[1]
+        assert cb.mu2_lower <= mu2 < 1.0 / cb.diameter ** 2 <= cb.mu2_upper
+
 
 # ---------------------------------------------------------------------------
 # exports

@@ -16,6 +16,7 @@ both directions: where a bound provably holds, and where it provably
 fails.  See the README for the convention discussion.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -164,6 +165,37 @@ def test_bessel_zeros_rejects_bad_arguments():
         bessel_zeros(-0.6, 3)
 
 
+def test_zeros_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for nu in (0.0, 0.5, 1.0, 2.5):
+        z = bessel_zeros(nu, 300)
+        for k in (1, 2, 50, 300):
+            ref = float(mpmath.besseljzero(nu, k))
+            assert abs(z[k - 1] - ref) <= 2e-16 * ref
+
+
+def test_series_reads_the_one_zero_cache():
+    """theta's series takes its zeros from the cache bessel_zeros fills,
+    and a zero does not depend on how many were asked for, so growing the
+    cache leaves every stored zero as it was."""
+    import eigenwalk.theta as T
+
+    zeros, coef = T._series_terms(2, 200)
+    assert np.shares_memory(zeros, T._ZEROS[0.0])
+    assert np.array_equal(zeros, bessel_zeros(0.0, 200))
+    assert not coef.flags.writeable and not T._ZEROS[0.0].flags.writeable
+    assert np.array_equal(T._newton_zeros(0.0, 10),
+                          T._newton_zeros(0.0, 3000)[:10])
+
+
+def test_theta_names_the_module():
+    import eigenwalk
+    import eigenwalk.theta as T
+
+    assert inspect.ismodule(T) and T.theta(2, 4.0).p == theta(2, 4.0).p
+    assert "theta" not in eigenwalk.__all__
+
+
 def test_bessel_zeros_returns_a_private_copy():
     a = bessel_zeros(0.0, 3)
     a[0] = -1.0
@@ -309,6 +341,16 @@ def test_mc_exit_is_deterministic_and_thread_invariant():
     assert d != a
     assert a.stderr > 0.0
     assert 0.0 <= a.p <= 1.0
+
+
+def test_mc_exit_pinned_across_batches():
+    """70 000 paths fill three batches of BATCH_PATHS = 32768; the pin was
+    recorded from the oracle's own serial and pooled batch loops, before
+    batches ran through the shared _rng.map_batches."""
+    for threads in (1, 2):
+        est = mc_exit_probability(2, 4.0, n_paths=70_000, seed=5,
+                                  dt_factor=0.01, threads=threads)
+        assert (est.p, est.stderr) == (0.6241545997017117, 0.0017875746096725088)
 
 
 def test_mc_exit_agrees_with_series():
