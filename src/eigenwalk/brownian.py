@@ -33,20 +33,8 @@ randomness is keyed by (seed, stream, batch) and reduced in batch order:
 estimates are pure functions of (seed, config, domain) regardless of
 thread count.  While any of its paths lives, a batch draws two normals
 and one uniform per path slot per step, dead slots included, and it keeps
-only live paths in its working arrays.  A single-start walk therefore
-makes the same moves as the earlier walker, which had one start per walk
-and sent every path through the cell walk: `survival_probability`,
-`feynman_kac`, `hit_probability` and `stopping_time_to_set` reproduce its
-fixed-seed outputs bitwise.  Two estimators changed their fixed-seed
-outputs on purpose:
-
-* `mixed_eigenvalue_via_decay` used to walk every start as its own batch
-  0, so all starts replayed one random stream and their errors were
-  correlated; in one start-major walk each start has its own paths.
-* `heat_content` used to weight a strided subset of start nodes by
-  (stride*h)^2, which skipped most of the strip next to the walls where
-  absorption is highest and biased the estimate low; it now draws each
-  path's start node with probability mass/area from its own stream.
+only live paths in its working arrays.  A path's moves therefore depend
+on its batch and slot alone, not on which other paths are still alive.
 """
 
 from __future__ import annotations
@@ -228,18 +216,22 @@ class _Kernel:
                (np.asarray(y, dtype=float) - self.oy) / self.h
 
     def cell_of(self, fx, fy):
-        cx = np.clip(np.rint(fx).astype(np.int64), 0, self.nx - 1)
-        cy = np.clip(np.rint(fy).astype(np.int64), 0, self.ny - 1)
-        return cx, cy
+        """Cells (cx, cy) of fractional positions, and whether each lies in
+        an active node's cell.  As in GridDomain.contains, a position is
+        outside when it is not finite or its rounded cell is off the grid."""
+        rx, ry = np.rint(fx), np.rint(fy)
+        on_grid = (rx >= 0) & (rx < self.nx) & (ry >= 0) & (ry < self.ny)
+        cx = np.where(on_grid, rx, 0).astype(np.int64)
+        cy = np.where(on_grid, ry, 0).astype(np.int64)
+        return cx, cy, on_grid & self.mask[cy, cx]
 
     def start_table(self, points):
         """(fx, fy, cx, cy) arrays of shape (S,) for S start points."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         fx, fy = self.to_frac(pts[:, 0], pts[:, 1])
-        cx, cy = self.cell_of(fx, fy)
-        outside = ~self.mask[cy, cx]
-        if outside.any():
-            x, y = pts[int(np.argmax(outside))]
+        cx, cy, inside = self.cell_of(fx, fy)
+        if not inside.all():
+            x, y = pts[int(np.argmin(inside))]
             raise BrownianError(f"start point ({x:g}, {y:g}) is outside "
                                 f"the domain")
         return fx, fy, cx, cy
@@ -527,7 +519,7 @@ def _mean_stderr(total, total_sq, n):
     return mean, math.sqrt(var / n)
 
 
-def _start_point(dom: GridDomain, cfg: PathConfig, x=None):
+def _start_point(cfg: PathConfig, x=None):
     pt = x if x is not None else cfg.start
     if pt is None:
         raise BrownianError("no start point: pass x or set PathConfig.start")
@@ -576,7 +568,7 @@ def hit_probability(dom: GridDomain, target, cfg: PathConfig,
     domain's wall labels unless bc_mode forces dirichlet/neumann.
     """
     kern = _kernel(dom, bc_mode)
-    start = _start_point(dom, cfg)
+    start = _start_point(cfg)
     n_steps, dt = cfg.resolve_steps(kern.h)
     tm = _target_mask(dom, target)
     n = cfg.n_paths
@@ -598,7 +590,7 @@ def survival_probability(dom: GridDomain, x, t: float, cfg: PathConfig,
     if t < 0:
         raise BrownianError("t must be >= 0")
     kern = _kernel(dom, "mixed")
-    start = _start_point(dom, cfg, x)
+    start = _start_point(cfg, x)
     if t == 0:
         return PathEstimate(mean=1.0, stderr=0.0, n_paths=cfg.n_paths,
                             seed=cfg.seed, bias_note="t=0: survival is 1")
@@ -625,7 +617,7 @@ def feynman_kac(dom: GridDomain, result: SpectralResult, x, t: float,
     if t < 0:
         raise BrownianError("t must be >= 0")
     kern = _kernel(dom, result.bc_mode)
-    start = _start_point(dom, cfg, x)
+    start = _start_point(cfg, x)
     grid = result.eigenfields[mode_index]
     lam = float(result.eigenvalues[mode_index])
     fx, fy = kern.to_frac(start[0], start[1])
@@ -653,17 +645,11 @@ def reflect_step(pos, proposed, dom: GridDomain):
     Deterministic; a proposal already inside comes back unchanged.
     """
     kern = _kernel(dom, "neumann")
-    fx0, fy0 = kern.to_frac(pos[0], pos[1])
-    cx, cy = kern.cell_of(fx0, fy0)
-    if not kern.mask[int(cy), int(cx)]:
+    cx, cy, inside = kern.cell_of(*kern.to_frac([pos[0]], [pos[1]]))
+    if not inside[0]:
         raise BrownianError("pos is outside the domain")
-    fx, fy = kern.to_frac(proposed[0], proposed[1])
-    fx = np.atleast_1d(np.asarray(fx, dtype=float))
-    fy = np.atleast_1d(np.asarray(fy, dtype=float))
-    cxa = np.atleast_1d(np.asarray(cx, dtype=np.int64)).copy()
-    cya = np.atleast_1d(np.asarray(cy, dtype=np.int64)).copy()
-    alive = np.ones(1, dtype=bool)
-    _resolve_step(kern, fx, fy, cxa, cya, alive)
+    fx, fy = kern.to_frac([proposed[0]], [proposed[1]])
+    _resolve_step(kern, fx, fy, cx, cy, np.ones(1, dtype=bool))
     return (kern.ox + float(fx[0]) * kern.h,
             kern.oy + float(fy[0]) * kern.h)
 
@@ -680,7 +666,7 @@ def stopping_time_to_set(dom: GridDomain, target, bc: str,
     if bc not in modes:
         raise BrownianError(f"bc must be kill, reflect or mixed, got {bc!r}")
     kern = _kernel(dom, modes[bc])
-    start = _start_point(dom, cfg)
+    start = _start_point(cfg)
     tm = _target_mask(dom, target)
     if tm is None:
         raise BrownianError("stopping_time_to_set needs an explicit target "

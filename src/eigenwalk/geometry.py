@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -171,7 +171,9 @@ class GridDomain:
         return int(self.mask.sum())
 
     def area(self) -> float:
-        """Mass-weighted area; equals count * h^2 on pure-Dirichlet grids."""
+        """n_active * h^2 when every wall is Dirichlet, else masses.sum(),
+        the finite-volume area; on an all-Dirichlet domain that sum is smaller
+        by the quarter cells cut at re-entrant corners."""
         if (self.walls["label"] == DIRICHLET).all():
             return self.n_active * self.h * self.h
         return float(self.masses.sum())
@@ -202,28 +204,23 @@ class GridDomain:
             return bool(out[0])
         return out.reshape(np.shape(x))
 
-    def active_coordinates(self) -> np.ndarray:
-        """(m, 2) physical coordinates of active nodes, lattice order."""
-        iy, ix = np.nonzero(self.mask)
-        x, y = self.node_xy(iy, ix)
-        return np.column_stack([x, y])
-
     def wall_segments(self) -> np.ndarray:
         """(m, 4) array of wall endpoints (x1, y1, x2, y2), one per wall."""
-        return _wall_segments(self)
-
-    @property
-    def bc_labels(self) -> np.ndarray:
-        """Per-node label over boundary nodes: -1 off-boundary, else the
-        label shared by the node's walls (a node adjacent to walls of both
-        kinds reports the Dirichlet label, the kill condition dominating
-        locally)."""
-        lab = np.full(self.mask.shape, -1, dtype=np.int8)
-        iy, ix = self.walls["iy"], self.walls["ix"]
-        for want in (NEUMANN, DIRICHLET):  # dirichlet written last, wins
-            sel = self.walls["label"] == want
-            lab[iy[sel], ix[sel]] = want
-        return lab
+        h = self.h
+        x, y = self.node_xy(self.walls["iy"], self.walls["ix"])
+        d = self.walls["dir"]
+        segs = np.empty((d.size, 4))
+        for dd, (diy, dix) in enumerate(_DIRS):
+            sel = d == dd
+            if dix != 0:  # vertical wall at x + dix*h/2
+                wx = x[sel] + dix * h / 2.0
+                segs[sel, 0], segs[sel, 1] = wx, y[sel] - h / 2.0
+                segs[sel, 2], segs[sel, 3] = wx, y[sel] + h / 2.0
+            else:  # horizontal wall at y + diy*h/2
+                wy = y[sel] + diy * h / 2.0
+                segs[sel, 0], segs[sel, 1] = x[sel] - h / 2.0, wy
+                segs[sel, 2], segs[sel, 3] = x[sel] + h / 2.0, wy
+        return segs
 
     def _validate_connected(self):
         if not self.mask.any():
@@ -283,24 +280,6 @@ def _extract_walls(mask: np.ndarray, code: np.ndarray,
         pos += iy.size
     walls.setflags(write=False)
     return walls
-
-
-def _wall_segments(dom: GridDomain) -> np.ndarray:
-    h = dom.h
-    x, y = dom.node_xy(dom.walls["iy"], dom.walls["ix"])
-    d = dom.walls["dir"]
-    segs = np.empty((d.size, 4))
-    for dd, (diy, dix) in enumerate(_DIRS):
-        sel = d == dd
-        if dix != 0:  # vertical wall at x + dix*h/2
-            wx = x[sel] + dix * h / 2.0
-            segs[sel, 0], segs[sel, 1] = wx, y[sel] - h / 2.0
-            segs[sel, 2], segs[sel, 3] = wx, y[sel] + h / 2.0
-        else:  # horizontal wall at y + diy*h/2
-            wy = y[sel] + diy * h / 2.0
-            segs[sel, 0], segs[sel, 1] = x[sel] - h / 2.0, wy
-            segs[sel, 2], segs[sel, 3] = x[sel] + h / 2.0, wy
-    return segs
 
 
 def _quarter_presence(mask: np.ndarray, code: np.ndarray) -> dict:
@@ -704,19 +683,23 @@ class LevelSetGeometry:
         return not self.polylines
 
 
-# marching-squares edges: for each of the 16 corner sign patterns, the cell
-# edges crossed.  Corners indexed 0=(0,0) 1=(1,0) 2=(1,1) 3=(0,1) in (x,y)
-# cell units; edges 0=bottom 1=right 2=top 3=left.
-_MS_SEGMENTS: dict[int, tuple[tuple[int, int], ...]] = {
-    0: (), 15: (),
-    1: ((3, 0),), 14: ((3, 0),),
-    2: ((0, 1),), 13: ((0, 1),),
-    4: ((1, 2),), 11: ((1, 2),),
-    8: ((2, 3),), 7: ((2, 3),),
-    3: ((3, 1),), 12: ((3, 1),),
-    6: ((0, 2),), 9: ((0, 2),),
-    # saddles 5 and 10 resolved by the average-of-corners rule at call time
-}
+# marching squares: per corner pattern, the pairs of cell edges its segments
+# join.  Bit k of a pattern is set when corner k is at or above eta, corners
+# 0=(0,0) 1=(1,0) 2=(1,1) 3=(0,1) in (x, y) cell units; edge e runs from
+# corner e to corner e+1 (0=bottom 1=right 2=top 3=left).  -1 pads a row to
+# two segments.  Rows 16 and 17 are saddles 5 and 10 whose average corner
+# value is at or above eta.
+_EDGE_PAIRS = np.array([
+    [[-1, -1], [-1, -1]], [[3, 0], [-1, -1]], [[0, 1], [-1, -1]],
+    [[3, 1], [-1, -1]], [[1, 2], [-1, -1]], [[3, 0], [1, 2]],
+    [[0, 2], [-1, -1]], [[2, 3], [-1, -1]], [[2, 3], [-1, -1]],
+    [[0, 2], [-1, -1]], [[0, 1], [2, 3]], [[1, 2], [-1, -1]],
+    [[3, 1], [-1, -1]], [[0, 1], [-1, -1]], [[3, 0], [-1, -1]],
+    [[-1, -1], [-1, -1]],
+    [[3, 2], [1, 0]], [[0, 3], [2, 1]],
+])
+_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+_BLOCK = 512  # rows per block of set_distance's pairwise temporaries
 
 
 def extract_level_set(dom: GridDomain, field: np.ndarray, eta: float) -> LevelSetGeometry:
@@ -749,76 +732,57 @@ def extract_level_set(dom: GridDomain, field: np.ndarray, eta: float) -> LevelSe
         # produces no cell crossings; report those nodes as degenerate
         # one-point polylines.  A plateau hitting many nodes (a constant
         # field) is not point-like and stays empty.
-        hits = dom.mask & (g == eta)
-        count = int(hits.sum())
-        if 0 < count <= 64:
-            iy, ix = np.nonzero(hits)
+        iy, ix = np.nonzero(dom.mask & (g == eta))
+        if 0 < iy.size <= 64:
             xs, ys = dom.node_xy(iy, ix)
-            polylines = [np.array([[xs[i], ys[i]]]) for i in range(count)]
+            polylines = [np.array([[x, y]]) for x, y in zip(xs, ys)]
     return LevelSetGeometry(level_eta=eta, polylines=polylines,
                             superlevel_mask=superlevel, sublevel_mask=sublevel,
                             components=components)
 
 
-def _march_cells(dom: GridDomain, g: np.ndarray, eta: float) -> list[tuple]:
-    ny, nx = g.shape
+def _march_cells(dom: GridDomain, g: np.ndarray, eta: float) -> np.ndarray:
+    """(m, 4) segments (x1, y1, x2, y2) crossing level eta, cells in
+    row-major order and a cell's segments in _EDGE_PAIRS order."""
     act = dom.mask
     cell_ok = act[:-1, :-1] & act[:-1, 1:] & act[1:, 1:] & act[1:, :-1]
-    v00 = g[:-1, :-1]
-    v10 = g[:-1, 1:]
-    v11 = g[1:, 1:]
-    v01 = g[1:, :-1]
-    code = ((v00 >= eta).astype(np.int8)
-            | ((v10 >= eta).astype(np.int8) << 1)
-            | ((v11 >= eta).astype(np.int8) << 2)
-            | ((v01 >= eta).astype(np.int8) << 3))
-    code = np.where(cell_ok, code, 0)
-    iy, ix = np.nonzero((code != 0) & (code != 15))
-    segs = []
-    x0g, y0g = dom.origin
-    h = dom.h
-    for cy, cx in zip(iy, ix):
-        c = int(code[cy, cx])
-        vals = (float(v00[cy, cx]), float(v10[cy, cx]),
-                float(v11[cy, cx]), float(v01[cy, cx]))
-        if c in (5, 10):
-            center_high = (sum(vals) / 4.0) >= eta
-            if c == 5:  # corners 0 and 2 high
-                pairs = (((3, 0), (1, 2)) if not center_high
-                         else ((3, 2), (1, 0)))
-            else:  # corners 1 and 3 high
-                pairs = (((0, 1), (2, 3)) if not center_high
-                         else ((0, 3), (2, 1)))
-        else:
-            pairs = _MS_SEGMENTS[c]
-        for e1, e2 in pairs:
-            p1 = _edge_point(e1, vals, eta)
-            p2 = _edge_point(e2, vals, eta)
-            # a corner value exactly equal to eta collapses both crossings
-            # onto that corner; such zero-length segments carry no geometry
-            # and would litter the output as degenerate fragments
-            if abs(p1[0] - p2[0]) < 1e-9 and abs(p1[1] - p2[1]) < 1e-9:
-                continue
-            segs.append((x0g + (cx + p1[0]) * h, y0g + (cy + p1[1]) * h,
-                         x0g + (cx + p2[0]) * h, y0g + (cy + p2[1]) * h))
-    return segs
+    up = (g >= eta).astype(np.uint8)
+    code = (up[:-1, :-1] | up[:-1, 1:] << 1 | up[1:, 1:] << 2
+            | up[1:, :-1] << 3)
+    iy, ix = np.nonzero(cell_ok & (code != 0) & (code != 15))
+    vals = np.column_stack([g[iy, ix], g[iy, ix + 1], g[iy + 1, ix + 1],
+                            g[iy + 1, ix]])  # corner values, in bit order
+    case = code[iy, ix]
+    high = ((case == 5) | (case == 10)) & (
+        (vals[:, 0] + vals[:, 1] + vals[:, 2] + vals[:, 3]) / 4.0 >= eta)
+    case = np.where(high, 16 + (case == 10), case)
+    pairs = _EDGE_PAIRS[case].reshape(-1, 2)  # two slots per cell
+    cell = np.repeat(np.arange(case.size), 2)
+    keep = pairs[:, 0] >= 0
+    pairs, cell = pairs[keep], cell[keep]
+
+    def edge_point(e):
+        va = vals[cell, e]
+        vb = vals[cell, (e + 1) % 4]
+        t = np.clip((eta - va) / (vb - va), 0.0, 1.0)[:, None]
+        a, b = _CORNERS[e], _CORNERS[(e + 1) % 4]
+        return a + t * (b - a)
+
+    p1, p2 = edge_point(pairs[:, 0]), edge_point(pairs[:, 1])
+    # a corner value exactly equal to eta collapses both crossings onto that
+    # corner; such zero-length segments carry no geometry and would litter
+    # the output as degenerate fragments
+    keep = (np.abs(p1 - p2) >= 1e-9).any(axis=1)
+    origin = np.array(dom.origin)
+    at = np.column_stack([ix, iy])[cell[keep]]
+    return np.hstack([origin + (at + p1[keep]) * dom.h,
+                      origin + (at + p2[keep]) * dom.h])
 
 
-def _edge_point(edge: int, vals: tuple, eta: float) -> tuple[float, float]:
-    # edge endpoints in cell units and corner indices
-    ends = {0: ((0.0, 0.0), (1.0, 0.0), 0, 1),
-            1: ((1.0, 0.0), (1.0, 1.0), 1, 2),
-            2: ((1.0, 1.0), (0.0, 1.0), 2, 3),
-            3: ((0.0, 1.0), (0.0, 0.0), 3, 0)}[edge]
-    (ax, ay), (bx, by), ia, ib = ends
-    va, vb = vals[ia], vals[ib]
-    t = 0.5 if vb == va else (eta - va) / (vb - va)
-    t = min(1.0, max(0.0, t))
-    return ax + t * (bx - ax), ay + t * (by - ay)
-
-
-def _chain_segments(segs: list[tuple], tol: float) -> list[np.ndarray]:
-    """Join raw marching-squares segments into polylines by shared endpoints."""
+def _chain_segments(segs: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Join (m, 4) marching-squares segments into polylines by shared
+    endpoints."""
+    segs = segs.tolist()
     if not segs:
         return []
     key = lambda x, y: (round(x / tol / 16), round(y / tol / 16))
@@ -863,81 +827,57 @@ def _chain_segments(segs: list[tuple], tol: float) -> list[np.ndarray]:
 def set_distance(a, b) -> float:
     """Min Euclidean distance between two geometric sets.
 
-    Accepts LevelSetGeometry (its polylines), a list of polylines, or an
-    (m, 2) point array.  Polyline inputs measure segment-to-segment
-    distance, not vertex samples.  Returns inf when either side is empty.
+    Accepts LevelSetGeometry (its polylines), a list of polylines ((m, 2)
+    arrays), or a (k, 2) point array; anything else raises TypeError.
+    Polylines measure segment-to-segment distance, not vertex samples.
+    Returns inf when either side is empty.
+
+    Two segments that do not cross are closest at an endpoint of one of
+    them, so the distance is the least vertex-to-segment distance either
+    way round, or 0 where segments cross.  A loose point or a one-vertex
+    polyline is a zero-length segment.
     """
-    segs_a, pts_a = _as_segments(a)
-    segs_b, pts_b = _as_segments(b)
-    if (segs_a.size == 0 and pts_a.size == 0) or \
-       (segs_b.size == 0 and pts_b.size == 0):
+    verts_a, segs_a = _as_segments(a)
+    verts_b, segs_b = _as_segments(b)
+    if not (len(segs_a) and len(segs_b)):
         return math.inf
-    best = math.inf
-    if segs_a.size and segs_b.size:
-        best = min(best, _seg_seg_min(segs_a, segs_b))
-    if pts_a.size and segs_b.size:
-        best = min(best, float(_point_segment_dist(pts_a, segs_b).min()))
-    if segs_a.size and pts_b.size:
-        best = min(best, float(_point_segment_dist(pts_b, segs_a).min()))
-    if pts_a.size and pts_b.size:
-        d = pts_a[:, None, :] - pts_b[None, :, :]
-        best = min(best, math.sqrt(float(np.einsum("ijk,ijk->ij", d, d).min())))
+    best = min(float(_point_segment_dist(p, s).min())
+               for verts, segs in ((verts_a, segs_b), (verts_b, segs_a))
+               for p, s in _blocks(verts, segs))
+    if best > 0.0 and any(_any_crossing(sa, sb)
+                          for sa, sb in _blocks(segs_a, segs_b)):
+        return 0.0
     return best
 
 
 def _as_segments(obj) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize input to (segments (m,4), loose points (k,2))."""
+    """(vertices (n, 2), segments (m, 4)) of a set_distance input."""
     if isinstance(obj, LevelSetGeometry):
         polys = obj.polylines
-    elif isinstance(obj, np.ndarray) and obj.ndim == 3 and obj.shape[-1] == 2:
-        polys = list(obj)
-    elif isinstance(obj, np.ndarray):
-        arr = np.atleast_2d(np.asarray(obj, dtype=float))
-        return np.empty((0, 4)), arr.reshape(-1, 2)
-    elif isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], np.ndarray):
-        polys = obj
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[1] == 2:
+        polys = obj[:, None, :]  # each point a one-vertex polyline
     elif isinstance(obj, (list, tuple)):
-        return np.empty((0, 4)), np.asarray(obj, dtype=float).reshape(-1, 2)
+        polys = obj
     else:
         raise TypeError(f"cannot interpret {type(obj).__name__} as geometry")
-    segs = []
-    pts = []
+    verts, segs = [np.empty((0, 2))], [np.empty((0, 4))]
     for poly in polys:
         poly = np.asarray(poly, dtype=float)
-        if len(poly) == 1:
-            pts.append(poly[0])
-        else:
-            segs.append(np.hstack([poly[:-1], poly[1:]]))
-    seg_arr = np.vstack(segs) if segs else np.empty((0, 4))
-    pt_arr = np.array(pts) if pts else np.empty((0, 2))
-    return seg_arr, pt_arr
+        if poly.ndim != 2 or poly.shape[1] != 2:
+            raise TypeError(f"a polyline must be an (m, 2) array, got shape "
+                            f"{poly.shape}")
+        verts.append(poly)
+        ends = poly if len(poly) != 1 else poly[[0, 0]]
+        segs.append(np.hstack([ends[:-1], ends[1:]]))
+    return np.vstack(verts), np.vstack(segs)
 
 
-def _seg_seg_min(sa: np.ndarray, sb: np.ndarray) -> float:
-    """Min distance between two segment sets, blockwise to bound memory."""
-    best = math.inf
-    block = 512
-    for i in range(0, len(sa), block):
-        ai = sa[i:i + block]
-        for j in range(0, len(sb), block):
-            bj = sb[j:j + block]
-            best = min(best, _seg_block(ai, bj))
-            if best == 0.0:
-                return 0.0
-    return best
-
-
-def _seg_block(sa: np.ndarray, sb: np.ndarray) -> float:
-    # endpoint-to-opposite-segment distances cover all non-crossing cases;
-    # crossings are caught by an orientation test and give distance 0
-    d1 = _point_segment_dist(sa[:, 0:2], sb).min()
-    d2 = _point_segment_dist(sa[:, 2:4], sb).min()
-    d3 = _point_segment_dist(sb[:, 0:2], sa).min()
-    d4 = _point_segment_dist(sb[:, 2:4], sa).min()
-    best = float(min(d1, d2, d3, d4))
-    if best > 0.0 and _any_crossing(sa, sb):
-        return 0.0
-    return best
+def _blocks(p: np.ndarray, q: np.ndarray):
+    """Pairs of row blocks of p and q, bounding pairwise temporaries at
+    _BLOCK x _BLOCK."""
+    for i in range(0, len(p), _BLOCK):
+        for j in range(0, len(q), _BLOCK):
+            yield p[i:i + _BLOCK], q[j:j + _BLOCK]
 
 
 def _any_crossing(sa: np.ndarray, sb: np.ndarray) -> bool:

@@ -10,6 +10,7 @@ thread count.
 import gc
 import hashlib
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -214,6 +215,31 @@ class TestReflectStep:
     def test_outside_pos_rejected(self, doms):
         with pytest.raises(B.BrownianError):
             B.reflect_step((1.25, 0.05), (1.25, 0.1), doms["dumbbell"])
+
+    def test_pos_beyond_grid_rejected(self, doms):
+        """The Neumann rectangle's edge columns are active: a position
+        beyond them is outside, not clipped onto them."""
+        for pos in ((-3.0, 0.3), (0.5, 9.0), (math.nan, 0.3)):
+            with pytest.raises(B.BrownianError):
+                B.reflect_step(pos, (0.5, 0.3), doms["neumann"])
+
+
+@pytest.mark.parametrize("x", [(-0.2, 0.3), (5.0, 5.0), (math.inf, 0.3),
+                               (math.nan, 0.3)])
+def test_start_beyond_grid_rejected(doms, x):
+    """Starts off the lattice or non-finite are outside the domain, as
+    GridDomain.contains says, even where the edge rows are active."""
+    assert not doms["neumann"].contains(*x)
+    cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001, start=x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy cast warning either
+        with pytest.raises(B.BrownianError, match="outside"):
+            B.survival_probability(doms["neumann"], x, 0.01, cfg)
+        with pytest.raises(B.BrownianError, match="outside"):
+            B.hit_probability(doms["mixed"], "boundary", cfg)
+    cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001, start=(1.0, -5.0))
+    with pytest.raises(B.BrownianError, match="outside"):
+        B.hit_probability(doms["mixed"], "boundary", cfg)
 
 
 def test_kernel_cache_shared_and_weak():

@@ -1,5 +1,6 @@
 """Tests for lattice domain construction, level sets, and distances."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -179,7 +180,7 @@ def test_mixed_bc_rectangle_mass_and_labels():
                       overrides={"left": "dirichlet"})
     # Dirichlet on one wall shaves half a cell column off the area.
     assert abs(dom.masses.sum() - (1.0 - dom.h / 2)) < 1e-12
-    labels = dom.bc_labels
+    labels = dom.walls["label"]
     assert (labels == DIRICHLET).sum() > 0
     assert (labels == NEUMANN).sum() > 0
 
@@ -368,6 +369,105 @@ def test_superlevel_nesting_property(e1, e2):
     assert not np.any(b.superlevel_mask & ~a.superlevel_mask)
 
 
+# Level-set pins.  Fields are sums of humps w * max(0, 1 - rho^2/r^2)^2 in
+# bounding-box units (u, v), hump centre (a, b), so they and their level
+# sets are built from +, -, *, / and max alone and are the same bits on any
+# IEEE machine.  Each case pins a digest of the polylines at PIN_ETAS and
+# set_distance between consecutive levels; they were recorded from the
+# per-cell marcher and the four-branch set_distance this module replaced.
+PIN_ETAS = (0.17, 0.37, 0.57, 0.77, 1.0)
+_BELL = {"lobe_width": 1.0, "lobe_height": 1.0, "neck_width": 0.1,
+         "neck_length": 0.5}
+LEVEL_PINS = {
+    "dumbbell_dirichlet": (
+        DomainSpec("dumbbell", _BELL, 256, "dirichlet"),
+        ((0.2, 0.5, 0.5, 1.0), (0.8, 0.45, 0.45, 0.8)), "e0362593bbedb50f",
+        (0.0701085445109228, 0.06520223230348698, 0.07222306127614389,
+         0.1742893946652734)),
+    "octopus_dirichlet": (
+        DomainSpec("octopus", {"body_radius": 1.0, "tentacle_width": 0.2,
+                               "tentacle_length": 1.0, "tentacle_count": 4},
+                   300, "dirichlet"),
+        ((0.5, 0.5, 0.3, 1.0), (0.9, 0.5, 0.25, 0.7)), "075b49d8948e5544",
+        (0.16885381675414818, 0.1570323273736606, 0.17393979303273624,
+         0.4199048820299809)),
+    "dumbbell_neumann": (
+        DomainSpec("dumbbell", _BELL, 256, "neumann"),
+        ((0.0, 0.3, 0.45, 1.0), (1.0, 0.7, 0.6, 0.9)), "516789dc6c9c464d",
+        (0.0631036465913864, 0.05867315358977523, 0.06500517361423085,
+         0.15297235163737433)),
+    "square_dirichlet": (
+        DomainSpec("rectangle", {"width": 1.0, "height": 1.0}, 128,
+                   "dirichlet"),
+        ((0.3, 0.35, 0.5, 1.0), (0.75, 0.7, 0.4, 0.85)), "ffd131bd7def946f",
+        (0.06405395182475244, 0.06304137352977592, 0.07242823661763578,
+         0.17146632110226714)),
+}
+
+
+def hump_field(dom, humps):
+    x0, y0, x1, y1 = dom.bbox
+    X, Y = dom.node_xy(*np.mgrid[0:dom.shape[0], 0:dom.shape[1]])
+    u, v = (X - x0) / (x1 - x0), (Y - y0) / (y1 - y0)
+    f = np.zeros(dom.shape)
+    for a, b, r, w in humps:
+        f += w * np.maximum(0.0, 1.0 - ((u - a) ** 2 + (v - b) ** 2)
+                            / (r * r)) ** 2
+    return f
+
+
+def polyline_digest(polys):
+    h = hashlib.sha256()
+    for p in polys:
+        h.update(np.int64(len(p)).tobytes())
+        h.update(np.ascontiguousarray(p, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def assert_distance_pin(got, want):
+    assert abs(got - want) <= 1e-15 * max(1.0, want), (got, want)
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_PINS))
+def test_level_sets_pinned(name):
+    spec, humps, digest, dists = LEVEL_PINS[name]
+    dom = build_domain(spec)
+    f = hump_field(dom, humps)
+    sets = [extract_level_set(dom, f, eta) for eta in PIN_ETAS]
+    assert polyline_digest([p for s in sets for p in s.polylines]) == digest
+    # eta = 1 touches only the peak node: one degenerate one-point polyline
+    assert [len(p) for p in sets[-1].polylines] == [1]
+    for i, want in enumerate(dists):
+        assert_distance_pin(set_distance(sets[i], sets[i + 1]), want)
+
+
+def test_saddle_cells_pinned():
+    """A checkerboard field: every cell is saddle 5 (corners (0,0) and
+    (1,1) high) or saddle 10, each with its corner average on both sides
+    of eta = 0.5."""
+    dom = build_domain(DomainSpec(
+        "custom_mask", {"rows": ["11111"] * 3, "cell_size": 0.25}, 16))
+    f = np.array([[1.0, 0.1, 0.9, 0.3, 0.6],
+                  [0.2, 0.8, 0.4, 0.7, 0.1],
+                  [0.9, 0.3, 0.6, 0.2, 0.8]])
+    corners = (f[:-1, :-1], f[:-1, 1:], f[1:, 1:], f[1:, :-1])
+    pattern = sum((c >= 0.5).astype(int) << k for k, c in enumerate(corners))
+    high = sum(corners) / 4.0 >= 0.5
+    assert set(zip(pattern.ravel().tolist(), high.ravel().tolist())) == {
+        (5, False), (5, True), (10, False), (10, True)}
+
+    sets = [extract_level_set(dom, f, eta) for eta in (0.25, 0.5, 0.75)]
+    assert [polyline_digest(s.polylines) for s in sets] == [
+        "7c0223f317044042", "dbf9f3c6bf86f4d6", "f016a4e245480d46"]
+    for (i, j), want in zip(((0, 1), (1, 2), (0, 2)),
+                            (0.054816126206689304, 0.06779076806833001,
+                             0.13888888888888887)):
+        got = set_distance(sets[i], sets[j])
+        assert_distance_pin(got, want)
+        assert abs(got - oracles.polyline_set_distance(
+            sets[i].polylines, sets[j].polylines)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # distances
 
@@ -388,6 +488,40 @@ def test_set_distance_points_and_empty():
     a = [np.array([[0.0, 0.0], [1.0, 0.0]])]
     assert set_distance(a, np.array([[2.0, 0.0]])) == pytest.approx(1.0)
     assert set_distance(a, np.empty((0, 2))) == math.inf
+    # point to point, loose or as a one-vertex polyline
+    assert set_distance(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])) == 5.0
+    assert set_distance([np.array([[0.0, 0.0]])],
+                        np.array([[3.0, 4.0], [6.0, 8.0]])) == 5.0
+    # a point lying on a segment
+    assert set_distance(a, np.array([[0.25, 0.0]])) == 0.0
+    assert set_distance([np.array([[0.5, 0.0]])], a) == 0.0
+
+
+def test_set_distance_rejects_other_inputs():
+    a = [np.array([[0.0, 0.0], [1.0, 0.0]])]
+    for bad in ([(2.0, 0.0), (3.0, 0.0)],       # a list of point tuples
+                np.zeros((2, 3, 2)),           # a stack of polylines
+                np.array([2.0, 0.0]),          # one bare point
+                "geometry"):
+        with pytest.raises(TypeError):
+            set_distance(a, bad)
+
+
+def test_set_distance_one_vertex_polylines_match_oracle():
+    """One-vertex polylines are zero-length segments; the oracle scans
+    segments only, so it gets each such point doubled."""
+    rng = np.random.default_rng(6)
+
+    def doubled(polys):
+        return [np.vstack([p, p]) if len(p) == 1 else p for p in polys]
+
+    for _ in range(60):
+        pa = [rng.uniform(-1, 1, size=(rng.integers(1, 5), 2))
+              for _ in range(rng.integers(1, 4))]
+        pb = [rng.uniform(-1, 1, size=(rng.integers(1, 5), 2))
+              for _ in range(rng.integers(1, 4))]
+        want = oracles.polyline_set_distance(doubled(pa), doubled(pb))
+        assert abs(set_distance(pa, pb) - want) < 1e-12
 
 
 def test_set_distance_matches_bruteforce_oracle():
