@@ -519,13 +519,16 @@ def _mean_stderr(total, total_sq, n):
     return mean, math.sqrt(var / n)
 
 
-def _start_point(cfg: PathConfig, x=None):
+def _start_point(kern: _Kernel, cfg: PathConfig, x=None):
+    """The start (x, or cfg.start when x is None) as a float pair; raises
+    BrownianError unless it is one point inside the domain."""
     pt = x if x is not None else cfg.start
     if pt is None:
         raise BrownianError("no start point: pass x or set PathConfig.start")
     pt = np.asarray(pt, dtype=float)
     if pt.shape != (2,):
         raise BrownianError("start must be a single (x, y) point")
+    kern.start_table([pt])
     return float(pt[0]), float(pt[1])
 
 
@@ -544,11 +547,13 @@ def _target_mask(dom: GridDomain, target):
         if pts.size == 0 or pts.shape[1] != 2:
             raise BrownianError("target must be 'boundary', a bool mask, "
                                 "or a list of (x, y) points")
+        inside = dom.contains(pts[:, 0], pts[:, 1])
+        if not inside.all():
+            x, y = pts[int(np.argmin(inside))]
+            raise BrownianError(f"target point ({x:g}, {y:g}) is outside "
+                                f"the domain")
         tm = np.zeros(dom.mask.shape, dtype=bool)
-        iy, ix = dom.nearest_node(pts[:, 0], pts[:, 1])
-        tm[np.clip(iy, 0, dom.mask.shape[0] - 1),
-           np.clip(ix, 0, dom.mask.shape[1] - 1)] = True
-        tm &= dom.mask
+        tm[dom.nearest_node(pts[:, 0], pts[:, 1])] = True
     if not tm.any():
         warnings.warn("target does not overlap the domain; the estimate "
                       "will be zero", stacklevel=3)
@@ -564,11 +569,12 @@ def hit_probability(dom: GridDomain, target, cfg: PathConfig,
     """Probability of reaching the target before absorption or horizon.
 
     target: 'boundary' (absorption itself is the event), a boolean node
-    mask, or a list of points (their cells).  Paths move under the
-    domain's wall labels unless bc_mode forces dirichlet/neumann.
+    mask, or a list of points inside the domain (their cells).  Paths
+    move under the domain's wall labels unless bc_mode forces
+    dirichlet/neumann.
     """
     kern = _kernel(dom, bc_mode)
-    start = _start_point(cfg)
+    start = _start_point(kern, cfg)
     n_steps, dt = cfg.resolve_steps(kern.h)
     tm = _target_mask(dom, target)
     n = cfg.n_paths
@@ -590,7 +596,7 @@ def survival_probability(dom: GridDomain, x, t: float, cfg: PathConfig,
     if t < 0:
         raise BrownianError("t must be >= 0")
     kern = _kernel(dom, "mixed")
-    start = _start_point(cfg, x)
+    start = _start_point(kern, cfg, x)
     if t == 0:
         return PathEstimate(mean=1.0, stderr=0.0, n_paths=cfg.n_paths,
                             seed=cfg.seed, bias_note="t=0: survival is 1")
@@ -617,12 +623,11 @@ def feynman_kac(dom: GridDomain, result: SpectralResult, x, t: float,
     if t < 0:
         raise BrownianError("t must be >= 0")
     kern = _kernel(dom, result.bc_mode)
-    start = _start_point(cfg, x)
+    start = _start_point(kern, cfg, x)
     grid = result.eigenfields[mode_index]
     lam = float(result.eigenvalues[mode_index])
-    fx, fy = kern.to_frac(start[0], start[1])
-    phi_x = float(_bilinear(kern, grid, np.asarray([fx]),
-                            np.asarray([fy]))[0])
+    fx, fy = kern.to_frac([start[0]], [start[1]])
+    phi_x = float(_bilinear(kern, grid, fx, fy)[0])
     exact = math.exp(-lam * t) * phi_x
     if t == 0:
         return FeynmanKacReport(mean=phi_x, stderr=0.0, exact=phi_x,
@@ -666,7 +671,7 @@ def stopping_time_to_set(dom: GridDomain, target, bc: str,
     if bc not in modes:
         raise BrownianError(f"bc must be kill, reflect or mixed, got {bc!r}")
     kern = _kernel(dom, modes[bc])
-    start = _start_point(cfg)
+    start = _start_point(kern, cfg)
     tm = _target_mask(dom, target)
     if tm is None:
         raise BrownianError("stopping_time_to_set needs an explicit target "

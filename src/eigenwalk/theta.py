@@ -327,7 +327,8 @@ def _mc_exit_batch(n: int, batch_index: int, m: int, seed: int,
                 tmp = np.empty_like(r2_prev)
                 near = np.empty(w.size, dtype=bool)
     ws = w.astype(np.float64)
-    return float(ws.sum()), float(ws @ ws)
+    # not ws @ ws: a BLAS dot's last bits move with its thread count
+    return float(ws.sum()), float(np.sum(ws * ws))
 
 
 def mc_exit_probability(n: int, c: float, n_paths: int, seed: int = 0,

@@ -4,9 +4,12 @@ invariants, and estimator checks against spectral and closed-form values.
 The pins were recorded from the per-path reference walker (every path
 resolved cell by cell through `_resolve_step`) before the free-cell fast
 path and live-path compaction existed; they must hold bitwise at any
-thread count.
+thread count.  The Feynman-Kac pins were recorded later, with the
+walker's eigenfields given in closed form (closed_form_result), so they
+also hold at any BLAS thread count.
 """
 
+import dataclasses
 import gc
 import hashlib
 import math
@@ -20,6 +23,7 @@ from scipy import ndimage
 from eigenwalk import brownian as B
 from eigenwalk.geometry import DomainSpec, build_domain
 from eigenwalk.spectral import assemble_laplacian, solve_eigs
+import oracles
 
 N_PINNED = 17000  # two path batches: 16384 + 616
 
@@ -51,6 +55,34 @@ def _stopping_digest(samples):
     return reasons, total_t, hashlib.sha256(rows.encode()).hexdigest()[:16]
 
 
+def closed_form_result(dom, bc, mode):
+    """The solver's result for the lowest mode + 1 pairs of a pinned
+    rectangle, with pair `mode` replaced by its closed form: a discrete sine
+    or cosine product at the nodes (normalized to h^2 sum f^2 = 1, signed as
+    the solver signs it) and its oracle eigenvalue.  The Feynman-Kac pins
+    then measure the walker alone, not the last bits of a dense eigensolve,
+    which move with the BLAS thread count."""
+    h = dom.h
+    x, y = dom.node_xy(*np.indices(dom.shape))
+    n_x = int(dom.mask.any(axis=0).sum())
+    if bc == "dirichlet":  # unit square, sin(pi x) sin(pi y)
+        f = np.sin(math.pi * x) * np.sin(math.pi * y)
+        lam = 2 * oracles.discrete_rectangle_dirichlet_eigenvalue(h, n_x, 1)
+    elif bc == "neumann":  # 1 x 0.75, -cos(pi x): negative on the left
+        f = -np.cos(math.pi * x)
+        lam = oracles.discrete_rectangle_neumann_eigenvalue(h, n_x, 1)
+    else:  # 2 x 1, Dirichlet left and right, Neumann top and bottom
+        f = np.sin(0.5 * math.pi * x)
+        lam = oracles.discrete_rectangle_dirichlet_eigenvalue(h, n_x, 1)
+    f = np.where(dom.mask, f, 0.0)
+    f /= math.sqrt(h * h * float(np.sum(f * f)))
+    res = solve_eigs(assemble_laplacian(dom, bc), mode + 1, 0)
+    lams = res.eigenvalues.copy()
+    lams[mode] = lam
+    return dataclasses.replace(
+        res, eigenvalues=lams, eigenfields=res.eigenfields[:mode] + (f,))
+
+
 def pinned_outputs(doms, threads):
     """Every pinned estimate, as plain floats, for one thread count."""
     sq, mixed = doms["square"], doms["mixed"]
@@ -74,7 +106,7 @@ def pinned_outputs(doms, threads):
                                 ("neumann", "neumann", 1, (0.2, 0.35), 0.02),
                                 ("mixed", "mixed", 0, (1.0, 0.5), 0.04)):
         dom = doms[key]
-        res = solve_eigs(assemble_laplacian(dom, bc), mode + 1, 0)
+        res = closed_form_result(dom, bc, mode)
         cfg = B.PathConfig(t_max=t, n_paths=N_PINNED, dt=t / 20, seed=7)
         est(f"feynman_kac_{bc}", B.feynman_kac(
             dom, res, x, t, cfg, mode_index=mode, threads=threads))
@@ -97,9 +129,9 @@ def pinned_outputs(doms, threads):
 
 
 PINS = {
-    "feynman_kac_dirichlet": (1.2610051646905807, 0.004441730905448291),
-    "feynman_kac_mixed": (0.8510537853319989, 0.0009122125008116887),
-    "feynman_kac_neumann": (-0.9731928375420181, 0.004078171349827013),
+    "feynman_kac_dirichlet": (1.2610051646905818, 0.004441730905448301),
+    "feynman_kac_mixed": (0.8510537853319987, 0.0009122125008116921),
+    "feynman_kac_neumann": (-0.973192837542013, 0.0040781713498270235),
     "hit_boundary": (0.21870588235294117, 0.003170485872560811),
     "hit_mask": (0.05911764705882353, 0.0018088999416943498),
     "stopping_mixed": ({"hit_target": 3218, "horizon": 8070, "killed": 5712},
@@ -240,6 +272,36 @@ def test_start_beyond_grid_rejected(doms, x):
     cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001, start=(1.0, -5.0))
     with pytest.raises(B.BrownianError, match="outside"):
         B.hit_probability(doms["mixed"], "boundary", cfg)
+
+
+def test_start_checked_at_time_zero(doms):
+    """t = 0 returns early, but not before the start is checked."""
+    dom = doms["neumann"]
+    cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001)
+    res = solve_eigs(assemble_laplacian(dom, "neumann"), 2, 0)
+    for x in ((-0.2, 0.3), (math.nan, 0.3)):
+        with pytest.raises(B.BrownianError, match="outside"):
+            B.survival_probability(dom, x, 0.0, cfg)
+        with pytest.raises(B.BrownianError, match="outside"):
+            B.feynman_kac(dom, res, x, 0.0, cfg, mode_index=1)
+    assert B.survival_probability(dom, (0.5, 0.3), 0.0, cfg).mean == 1.0
+    fk = B.feynman_kac(dom, res, (0.5, 0.3), 0.0, cfg, mode_index=1)
+    assert fk.mean == fk.exact and fk.stderr == 0.0
+
+
+@pytest.mark.parametrize("target", [[(5.0, 5.0)], [(0.5, 0.3), (-0.2, 0.3)],
+                                    [(math.inf, 0.3)]])
+def test_target_outside_rejected(doms, target):
+    """A target point outside the domain is an error, not a clip onto the
+    nearest edge node."""
+    dom = doms["neumann"]
+    cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001, start=(0.5, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(B.BrownianError, match="target point"):
+            B.hit_probability(dom, target, cfg, bc_mode="neumann")
+        with pytest.raises(B.BrownianError, match="target point"):
+            B.stopping_time_to_set(dom, target, "reflect", cfg)
 
 
 def test_kernel_cache_shared_and_weak():

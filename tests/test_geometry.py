@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,25 @@ def test_contains_matches_mask():
     assert np.array_equal(dom.contains(xs, ys), [True, False])
 
 
+def test_non_finite_coordinates():
+    """contains says False and nearest_node raises DomainError, with no
+    numpy cast warning, for coordinates that cannot index the lattice."""
+    dom = unit_square(resolution=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (math.nan, math.inf, -math.inf, 1e300):
+            assert not dom.contains(x, 0.3)
+            assert not dom.contains(0.3, x)
+            with pytest.raises(DomainError):
+                dom.nearest_node(x, 0.3)
+            with pytest.raises(DomainError):
+                dom.nearest_node(np.array([0.5, 0.5]), np.array([0.3, x]))
+        assert np.array_equal(dom.contains(np.array([0.5, math.nan]),
+                                           np.array([0.3, 0.3])),
+                              [True, False])
+        assert dom.nearest_node(0.5, 0.25) == (8, 16)
+
+
 # ---------------------------------------------------------------------------
 # diameter
 
@@ -505,6 +525,10 @@ def test_set_distance_rejects_other_inputs():
                 "geometry"):
         with pytest.raises(TypeError):
             set_distance(a, bad)
+    for bad in ([np.array([[0.0, 1.0], [math.nan, 1.0]])],
+                np.array([[math.inf, 0.0]])):
+        with pytest.raises(ValueError, match="finite"):
+            set_distance(a, bad)
 
 
 def test_set_distance_one_vertex_polylines_match_oracle():
@@ -534,6 +558,71 @@ def test_set_distance_matches_bruteforce_oracle():
         got = set_distance(pa, pb)
         want = oracles.polyline_set_distance(pa, pb)
         assert abs(got - want) < 1e-12
+
+
+# Cases for the k-d tree prune in set_distance, each against the oracle.
+
+def _circle(radius, n, phase=0.0):
+    t = phase + np.linspace(0.0, 2.0 * math.pi, n + 1)
+    return np.column_stack([radius * np.cos(t), radius * np.sin(t)])
+
+
+def test_set_distance_crossing_polylines():
+    """Zigzags that cross: d_vv <= L, so the crossing test runs."""
+    x = np.linspace(0.0, 1.0, 41)
+    a = [np.column_stack([x, 0.05 * np.sin(40.0 * x)])]
+    b = [np.column_stack([x, 0.05 * np.cos(37.0 * x) + 0.01])]
+    assert oracles.polyline_set_distance(a, b) == 0.0
+    assert set_distance(a, b) == 0.0
+    # a single crossing, far along both polylines
+    c = [np.array([[0.9, -1.0], [0.91, 1.0]])]
+    assert set_distance(a, c) == 0.0 == set_distance(c, a)
+
+
+def test_set_distance_concentric_circles():
+    """Every vertex of either circle has candidate segments."""
+    for radii, n in (((1.0, 1.3), (90, 130)), ((1.0, 1.0 + 1e-3), (70, 50))):
+        a = [_circle(radii[0], n[0])]
+        b = [_circle(radii[1], n[1], phase=0.01)]
+        want = oracles.polyline_set_distance(a, b)
+        assert abs(set_distance(a, b) - want) < 1e-12
+        assert abs(set_distance(b, a) - want) < 1e-12
+
+
+def test_set_distance_long_segment_next_to_short_ones():
+    """One long segment makes r cover every vertex of the other side:
+    candidate pairs come in several _BLOCK-sized chunks of query points."""
+    x = np.linspace(-4.0, 4.0, 3 * geo._BLOCK + 7)
+    fine = [np.column_stack([x, 0.3 + 0.1 * np.sin(3.0 * x)])]
+    long = [np.array([[-5.0, 0.0], [5.0, 0.0]]), np.array([[6.0, 6.0]])]
+    want = oracles.polyline_set_distance(
+        fine, [long[0], np.vstack([long[1], long[1]])])
+    assert want == pytest.approx(0.2, abs=1e-4)
+    assert abs(set_distance(fine, long) - want) < 1e-12
+    assert abs(set_distance(long, fine) - want) < 1e-12
+    # the long segment crosses the fine polyline once, near its far end
+    cut = [np.array([[3.9, -5.0], [3.9, 5.0]])]
+    assert set_distance(fine, cut) == 0.0 == set_distance(cut, fine)
+
+
+def test_set_distance_points_and_one_vertex_polylines_match_oracle():
+    rng = np.random.default_rng(8)
+
+    def doubled(polys):
+        return [np.vstack([p, p]) if len(p) == 1 else p for p in polys]
+
+    for _ in range(40):
+        pts = rng.uniform(-1, 1, size=(rng.integers(1, 30), 2))
+        polys = [rng.uniform(-1, 1, size=(rng.integers(1, 12), 2))
+                 for _ in range(rng.integers(1, 4))]
+        loose = [p[None, :] for p in pts]
+        want = oracles.polyline_set_distance(doubled(loose), doubled(polys))
+        assert abs(set_distance(pts, polys) - want) < 1e-12
+        assert abs(set_distance(polys, pts) - want) < 1e-12
+        other = rng.uniform(-1, 1, size=(rng.integers(1, 30), 2))
+        want = oracles.polyline_set_distance(
+            doubled(loose), doubled([p[None, :] for p in other]))
+        assert abs(set_distance(pts, other) - want) < 1e-12
 
 
 def test_dist_to_boundary_square():

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -249,6 +250,21 @@ class TestEigsContract:
             solve_eigs(op, k=0)
         with pytest.raises(ValueError):
             solve_eigs(op, k=10 ** 6)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_lanczos_route_matches_dense(self, bc):
+        """About 1100 nodes: past the dense cutoff, so the shift-inverted
+        Lanczos route runs; its eigenvalues must match a dense eigh of the
+        same matrix."""
+        dom = build_domain(DomainSpec(
+            family="dumbbell", params={"neck_width": 0.25, "neck_length": 0.5},
+            resolution=56, bc_default=bc))
+        op = assemble_laplacian(dom, bc)
+        assert 1000 < op.n < 1200
+        r = solve_eigs(op, k=12, seed=0)
+        want = scipy.linalg.eigh(op.matrix.toarray(), eigvals_only=True)[:12]
+        np.testing.assert_allclose(r.eigenvalues, want, rtol=1e-10,
+                                   atol=1e-10)
 
     def test_unreachable_residual_reports_residual(self):
         op = assemble_laplacian(rect(resolution=32), "dirichlet")
