@@ -2,10 +2,10 @@
 
 Monte Carlo estimators in this package draw paths in fixed-size batches.
 Each batch owns an independent generator keyed by (seed, stream tag, batch
-index) through SeedSequence, and `map_batches` runs the batches, serially
-or on a thread pool, and hands back their results in batch order for the
-caller to reduce, so every estimate is a pure function of (seed, n_paths)
-no matter how batches are scheduled across threads.
+index) through SeedSequence, and `map_batches` runs the batches, in this
+process or spread over forked worker processes, and hands back their
+results in batch order for the caller to reduce, so every estimate is a
+pure function of (seed, n_paths) no matter how many workers ran it.
 
 Normals come from a vectorized Box-Muller transform over float32 uniforms
 rather than Generator.standard_normal: the ziggurat path is several times
@@ -16,12 +16,18 @@ below any tolerance used here.
 
 from __future__ import annotations
 
+import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
+import traceback
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_log = logging.getLogger("eigenwalk")
+_said_serial = False  # the no-fork fallback is logged once per process
 
 
 def batch_rng(seed: int, tag: int, batch_index: int) -> np.random.Generator:
@@ -31,12 +37,109 @@ def batch_rng(seed: int, tag: int, batch_index: int) -> np.random.Generator:
 
 
 def map_batches(job, n_batches: int, threads: int) -> list:
-    """[job(0), ..., job(n_batches - 1)], in batch order, computed on a
-    pool of `threads` threads when that and the batch count exceed one."""
-    if threads > 1 and n_batches > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, range(n_batches)))
-    return [job(b) for b in range(n_batches)]
+    """[job(0), ..., job(n_batches - 1)], in batch order, computed by
+    min(threads, n_batches) worker processes.
+
+    Worker w runs batches w, w + T, w + 2T, ... of T workers.  This process
+    is worker 0; the others are forked children that send their results
+    (or the exception a job raised) back pickled through a pipe, so a job
+    may be a closure but its results must pickle.  The walker steps in
+    many short numpy calls and would take turns on the interpreter lock
+    as threads; processes do not share it.  Forking, not spawning, keeps
+    the domain tables and the job itself shared copy-on-write.
+
+    A job's exception is raised here with its type and message, chained
+    to the worker's traceback; a worker that dies without a result raises
+    RuntimeError.  Every child is reaped before this returns or raises.
+    Forking is not safe from several threads at once, so do not call this
+    with threads > 1 from more than one thread.  Without os.fork the
+    batches run here one after another, which is logged once at INFO.
+    """
+    workers = min(threads, n_batches)
+    if workers > 1 and not hasattr(os, "fork"):
+        global _said_serial
+        if not _said_serial:
+            _said_serial = True
+            _log.info("os.fork is not available: path batches run serially "
+                      "in this process, whatever the worker count")
+        workers = 1
+    if workers <= 1:
+        return [job(b) for b in range(n_batches)]
+
+    children = []  # (worker, pid, read end of its pipe)
+    out = [None] * n_batches
+    finished = False
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(rfd)
+                    _send_share(job, range(w, n_batches, workers), wfd)
+                    code = 0
+                finally:
+                    os._exit(code)  # never return into the caller's stack
+            os.close(wfd)
+            children.append((w, pid, rfd))
+        for b in range(0, n_batches, workers):
+            out[b] = job(b)
+        finished = True
+    finally:
+        if not finished:  # this process failed: stop the others' work
+            for _, pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        shares = [_reap(*child) for child in children]
+    for (w, _, _), (ok, payload, tb) in zip(children, shares):
+        if not ok:
+            cause = RuntimeError(f"in batch worker {w}:\n{tb}") if tb else None
+            raise payload from cause
+        out[w::workers] = payload
+    return out
+
+
+def _send_share(job, batches, wfd: int) -> None:
+    """In a forked worker: run its batches and write one pickled
+    (ok, results or exception, traceback text) record to the pipe."""
+    try:
+        rec = (True, [job(b) for b in batches], "")
+    except BaseException as exc:
+        rec = (False, exc, traceback.format_exc())
+    try:
+        data = pickle.dumps(rec)
+        if not rec[0]:
+            pickle.loads(data)  # an exception that will not rebuild
+    except Exception as err:
+        what = rec[1] if not rec[0] else "the results"
+        data = pickle.dumps((False, RuntimeError(
+            f"batch worker cannot send {what!r}: {err}"), rec[2]))
+    view = memoryview(data)
+    while view:
+        view = view[os.write(wfd, view):]
+    os.close(wfd)
+
+
+def _reap(w: int, pid: int, rfd: int):
+    """Read worker w's record to EOF, then wait for it; (ok, payload, tb)."""
+    chunks = []
+    try:
+        while chunk := os.read(rfd, 1 << 20):
+            chunks.append(chunk)
+    finally:
+        os.close(rfd)
+        _, status = os.waitpid(pid, 0)
+    if status == 0 and chunks:
+        return pickle.loads(b"".join(chunks))
+    how = (f"signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+           else f"exit status {os.waitstatus_to_exitcode(status)}")
+    return False, RuntimeError(f"batch worker {w} (pid {pid}) ended by "
+                               f"{how} without sending a result"), ""
 
 
 def fill_normals(rng: np.random.Generator, out_flat: np.ndarray,

@@ -31,10 +31,15 @@ One walk carries many start points.  Paths are laid out start-major,
 path = start * n_paths + j, and cut into fixed-size batches whose
 randomness is keyed by (seed, stream, batch) and reduced in batch order:
 estimates are pure functions of (seed, config, domain) regardless of
-thread count.  While any of its paths lives, a batch draws two normals
+worker count.  While any of its paths lives, a batch draws two normals
 and one uniform per path slot per step, dead slots included, and it keeps
 only live paths in its working arrays.  A path's moves therefore depend
 on its batch and slot alone, not on which other paths are still alive.
+
+Every estimator's `threads` is its number of worker processes
+(_rng.map_batches forks the extra ones); the same bits come out at any
+count.  Forking is not safe from several threads at once, so do not call
+estimators with threads > 1 from more than one thread.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import numpy as np
 from scipy import ndimage
 
 from ._rng import NormalChunks, batch_rng, map_batches
-from .geometry import GridDomain, wall_code
+from .geometry import GridDomain, active_cell, wall_code
 from .spectral import SpectralResult, _effective_labels, grid_hash
 
 __all__ = [
@@ -188,7 +193,7 @@ class _Kernel:
     def __init__(self, dom: GridDomain, bc_mode: str):
         self.bc_mode = bc_mode
         self.h = dom.h
-        self.ox, self.oy = dom.origin
+        self.ox, self.oy = self.origin = dom.origin
         self.mask = dom.mask
         self.ny, self.nx = dom.mask.shape
         # the domain's wall code under bc_mode (geometry.wall_code), flat:
@@ -215,21 +220,12 @@ class _Kernel:
         return (np.asarray(x, dtype=float) - self.ox) / self.h, \
                (np.asarray(y, dtype=float) - self.oy) / self.h
 
-    def cell_of(self, fx, fy):
-        """Cells (cx, cy) of fractional positions, and whether each lies in
-        an active node's cell.  As in GridDomain.contains, a position is
-        outside when it is not finite or its rounded cell is off the grid."""
-        rx, ry = np.rint(fx), np.rint(fy)
-        on_grid = (rx >= 0) & (rx < self.nx) & (ry >= 0) & (ry < self.ny)
-        cx = np.where(on_grid, rx, 0).astype(np.int64)
-        cy = np.where(on_grid, ry, 0).astype(np.int64)
-        return cx, cy, on_grid & self.mask[cy, cx]
-
     def start_table(self, points):
         """(fx, fy, cx, cy) arrays of shape (S,) for S start points."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         fx, fy = self.to_frac(pts[:, 0], pts[:, 1])
-        cx, cy, inside = self.cell_of(fx, fy)
+        cx, cy, inside = active_cell(self.mask, self.origin, self.h,
+                                     pts[:, 0], pts[:, 1])
         if not inside.all():
             x, y = pts[int(np.argmin(inside))]
             raise BrownianError(f"start point ({x:g}, {y:g}) is outside "
@@ -650,7 +646,8 @@ def reflect_step(pos, proposed, dom: GridDomain):
     Deterministic; a proposal already inside comes back unchanged.
     """
     kern = _kernel(dom, "neumann")
-    cx, cy, inside = kern.cell_of(*kern.to_frac([pos[0]], [pos[1]]))
+    cx, cy, inside = active_cell(kern.mask, kern.origin, kern.h,
+                                 [pos[0]], [pos[1]])
     if not inside[0]:
         raise BrownianError("pos is outside the domain")
     fx, fy = kern.to_frac([proposed[0]], [proposed[1]])

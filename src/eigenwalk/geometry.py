@@ -202,17 +202,10 @@ class GridDomain:
 
     def contains(self, x, y):
         """True where (x, y) lies in the cell of an active node (i.e.
-        inside the cell-edge boundary polygon), elementwise; False where a
-        coordinate is not finite."""
-        scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-        iy, ix = (np.atleast_1d(c) for c in self._cell(x, y))
-        ny, nx = self.mask.shape
-        ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-        out = np.zeros(ok.shape, dtype=bool)
-        out[ok] = self.mask[iy[ok].astype(int), ix[ok].astype(int)]
-        if scalar:
-            return bool(out[0])
-        return out.reshape(np.shape(x))
+        inside the cell-edge boundary polygon), elementwise over x and y
+        broadcast together; False where a coordinate is not finite."""
+        inside = active_cell(self.mask, self.origin, self.h, x, y)[2]
+        return bool(inside) if np.ndim(inside) == 0 else inside
 
     def wall_segments(self) -> np.ndarray:
         """(m, 4) array of wall endpoints (x1, y1, x2, y2), one per wall."""
@@ -239,6 +232,24 @@ class GridDomain:
         if count != 1:
             raise DomainError(f"mask has {count} 4-connected components; "
                               "domains must be connected")
+
+
+def active_cell(mask: np.ndarray, origin, h: float, x, y):
+    """(ix, iy, inside) for points (x, y), broadcast together, on the
+    lattice of `mask` with node (0, 0) at `origin` and spacing h: the
+    indices of the node whose cell holds each point, and whether that node
+    is active.  A point that is not finite or whose cell is off the grid
+    is outside, with indices 0.  The one "inside the domain" test, shared
+    by GridDomain.contains and the walker's start checks."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    rx = np.rint((x - origin[0]) / h)
+    ry = np.rint((y - origin[1]) / h)
+    ny, nx = mask.shape
+    on_grid = (rx >= 0) & (rx < nx) & (ry >= 0) & (ry < ny)
+    ix = np.where(on_grid, rx, 0).astype(np.int64)
+    iy = np.where(on_grid, ry, 0).astype(np.int64)
+    return ix, iy, on_grid & mask[iy, ix]
 
 
 # ---------------------------------------------------------------------------

@@ -342,8 +342,11 @@ def mc_exit_probability(n: int, c: float, n_paths: int, seed: int = 0,
     sphere is treated as locally flat between steps).  A step landing outside
     the ball zeroes the weight.
 
-    Deterministic for fixed (seed, n_paths) independent of thread count:
+    Deterministic for fixed (seed, n_paths) independent of worker count:
     paths live in fixed-size counter-keyed batches reduced in batch order.
+    `threads` is the number of worker processes (_rng.map_batches); the
+    same bits come out at any count.  Do not call this with threads > 1
+    from more than one thread at once, since forking is not safe there.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")

@@ -259,6 +259,23 @@ def test_contains_matches_mask():
     assert np.array_equal(dom.contains(xs, ys), [True, False])
 
 
+def test_contains_broadcasts_like_nearest_node():
+    """A scalar and an array coordinate, or a column and a row, broadcast
+    as in nearest_node."""
+    dom = unit_square(resolution=16)
+    assert type(dom.contains(0.5, 0.3)) is bool
+    got = dom.contains(0.5, np.array([0.3, 0.4]))
+    assert got.shape == (2,) and got.all()
+    xs, ys = np.array([[0.5], [0.9], [1.2]]), np.array([0.3, 0.98, -0.2])
+    got = dom.contains(xs, ys)
+    iy, ix = np.broadcast_arrays(*dom.nearest_node(xs, ys))
+    on_grid = (ix < dom.shape[1]) & (iy >= 0)
+    want = np.zeros((3, 3), dtype=bool)
+    want[on_grid] = dom.mask[iy[on_grid], ix[on_grid]]
+    assert got.shape == (3, 3) and np.array_equal(got, want)
+    assert want.any() and not want.all()
+
+
 def test_non_finite_coordinates():
     """contains says False and nearest_node raises DomainError, with no
     numpy cast warning, for coordinates that cannot index the lattice."""
