@@ -1,5 +1,12 @@
 """Killed, reflected, and mixed Brownian paths on grid domains.
 
+One lattice walk serves three estimators: `survival_probability`, the
+probability q_t(x) that a path from x is alive at time t;
+`feynman_kac`, which checks E_x[phi(B_t); tau > t] = exp(-lam t) phi(x)
+for an eigenpair; and `mixed_eigenvalue_via_decay`, the principal
+eigenvalue from the decay of survival.  `reflect_step` resolves a single
+step under reflecting walls.
+
 Increments are Euler steps with per-coordinate variance 2*dt, matching the
 heat semigroup convention used by the spectral module (mode j decays like
 exp(-lam_j t)).  Boundary geometry is read from the same per-cell wall code
@@ -46,7 +53,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,16 +68,11 @@ __all__ = [
     "BrownianError",
     "PathConfig",
     "PathEstimate",
-    "StoppingSample",
     "FeynmanKacReport",
-    "HeatContentEstimate",
     "MixedDecayReport",
-    "hit_probability",
     "survival_probability",
     "feynman_kac",
     "reflect_step",
-    "stopping_time_to_set",
-    "heat_content",
     "mixed_eigenvalue_via_decay",
 ]
 
@@ -80,25 +81,22 @@ _WALK_STREAM = 0x57414C4B  # distinct stream tag; theta's oracle uses its own
 _MAX_FOLDS = 8
 _FREE = 0x0F  # wall code of a cell whose four neighbours are all active
 _BRIDGE_CUTOFF = 45.0  # exp(-45) ~ 3e-20: beyond this the bridge cannot fire
-_START_STREAM = 0x53544152  # heat_content's start-node draws
-
-# how a path's walk ended, per path as int8
-_HORIZON, _KILLED, _HIT = 0, 1, 2
-_REASONS = ("horizon", "killed", "hit_target")
 
 
 class BrownianError(RuntimeError):
-    """Bad path configuration, start point, or target."""
+    """Bad path configuration, time, start point or mode."""
 
 
 @dataclass(frozen=True)
 class PathConfig:
     """Simulation budget for one estimator call.
 
-    dt=None resolves per domain to min(h^2/4, horizon/1000), keeping the
-    spatial step below the lattice resolution.  The horizon is divided
-    into an integer number of steps, so the effective dt is the requested
-    one rounded to land exactly on the final time.
+    Each estimator walks to the horizon it is given (its time t, or the
+    last time of its grid); t_max only bounds dt, which must not exceed
+    t_max/10.  dt=None resolves per domain to min(h^2/4, horizon/1000),
+    keeping the spatial step below the lattice resolution.  The horizon is
+    divided into an integer number of steps, at least 10, so the effective
+    dt is the requested one rounded to land exactly on the horizon.
     """
 
     t_max: float
@@ -106,29 +104,33 @@ class PathConfig:
     dt: float | None = None
     seed: int = 0
     bridge_correction: bool = True
-    start: tuple | None = None
 
     def __post_init__(self):
-        if not (self.t_max > 0):
-            raise BrownianError("t_max must be positive")
+        if not (0 < self.t_max < math.inf):
+            raise BrownianError("t_max must be finite and positive")
+        if not isinstance(self.n_paths, (int, np.integer)):
+            raise BrownianError(f"n_paths must be an integer, got "
+                                f"{self.n_paths!r}")
         if self.n_paths < 100:
             raise BrownianError("n_paths must be >= 100")
         if self.dt is not None:
-            if not (self.dt > 0):
-                raise BrownianError("dt must be positive")
+            if not (0 < self.dt < math.inf):
+                raise BrownianError("dt must be finite and positive")
             if self.dt > self.t_max / 10:
                 raise BrownianError("dt must be <= t_max/10")
 
-    def resolve_steps(self, h: float, horizon: float | None = None):
-        """(n_steps, dt) for a grid of spacing h; dt snaps to the horizon."""
-        t = self.t_max if horizon is None else horizon
-        if t == 0:
-            return 0, 0.0
-        want = self.dt if self.dt is not None else min(h * h / 4, t / 1000)
-        if want > t / 10:
-            want = t / 10
-        n_steps = max(10, int(round(t / want)))
-        return n_steps, t / n_steps
+    def resolve_steps(self, h: float, horizon: float):
+        """(n_steps, dt) for a grid of spacing h; dt snaps to the horizon,
+        which must be finite and positive."""
+        if not (0 < horizon < math.inf):
+            raise BrownianError(f"time {horizon!r} must be finite and "
+                                f"positive")
+        want = self.dt if self.dt is not None else min(h * h / 4,
+                                                      horizon / 1000)
+        if want > horizon / 10:
+            want = horizon / 10
+        n_steps = max(10, int(round(horizon / want)))
+        return n_steps, horizon / n_steps
 
 
 @dataclass(frozen=True)
@@ -141,30 +143,12 @@ class PathEstimate:
 
 
 @dataclass(frozen=True)
-class StoppingSample:
-    hit: bool
-    T: float | None
-    exit_reason: str  # hit_target | killed | horizon
-
-
-@dataclass(frozen=True)
 class FeynmanKacReport:
     mean: float
     stderr: float
     exact: float
     z_score: float
     n_paths: int
-    seed: int
-    bias_note: str
-
-
-@dataclass(frozen=True)
-class HeatContentEstimate:
-    value: float
-    stderr: float
-    spectral_value: float | None
-    n_starts: int
-    t: float
     seed: int
     bias_note: str
 
@@ -353,17 +337,15 @@ def _free_step(fx, fy, cx, cy, margin):
 
 @dataclass
 class _Walk:
-    """Batch-reduced outputs of one walk; per-path arrays in path order."""
+    """Batch-reduced outputs of one walk."""
 
     surv: np.ndarray      # (checkpoints, starts) live-path counts
     fk_sum: float
     fk_sumsq: float
-    hit_step: np.ndarray  # step of the exit event, -1 for 'horizon'
-    reason: np.ndarray    # int8 _HORIZON / _KILLED / _HIT
 
 
 def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
-                bridge: bool, checkpoints=(), target_mask=None, fk_grid=None):
+                bridge: bool, checkpoints=(), fk_grid=None):
     """Simulate one batch; the only consumer of path increments.
 
     starts holds (fx, fy, cx, cy) per start point and sid the start of
@@ -378,8 +360,6 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
     sigma = math.sqrt(2.0 * dt) / kern.h  # per-coordinate, lattice units
     fx, fy, cx, cy = (a[sid] for a in starts)
     slot = np.arange(size)
-    reason = np.full(size, _HORIZON, dtype=np.int8)
-    hit_step = np.full(size, -1, dtype=np.int64)
     ck = {int(s): i for i, s in enumerate(checkpoints)}
     surv = np.zeros((len(ck), starts[0].size))
     bridge = bridge and kern.any_dirichlet
@@ -387,16 +367,6 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
     nx = kern.nx
     margin = kern.margin.ravel()
     code = kern.code
-    target = None if target_mask is None else target_mask.ravel()
-
-    if target is not None:
-        home = target.take(cy * nx + cx)
-        if home.any():
-            hit_step[home] = 0
-            reason[home] = _HIT
-            keep = np.flatnonzero(~home)
-            fx, fy, cx, cy, slot = (a.take(keep) for a in (fx, fy, cx, cy,
-                                                           slot))
 
     for step in range(1, n_steps + 1):
         if not slot.size:
@@ -432,17 +402,6 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
                 wc = wi[cand]
                 dead[wc[u[slot[wc]] < np.exp(-prod[cand] / dt)]] = True
         if dead.any():
-            gone = slot[dead]
-            reason[gone] = _KILLED
-            hit_step[gone] = step
-        if target is not None:
-            arrived = ~dead & target.take(cy * nx + cx)
-            if arrived.any():
-                gone = slot[arrived]
-                reason[gone] = _HIT
-                hit_step[gone] = step
-                dead |= arrived
-        if dead.any():
             keep = np.flatnonzero(~dead)
             fx, fy, cx, cy, slot = (a.take(keep) for a in (fx, fy, cx, cy,
                                                            slot))
@@ -457,7 +416,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
         vals[slot] = _bilinear(kern, fk_grid, fx, fy)
         fk_sum = float(vals.sum())
         fk_sumsq = float((vals * vals).sum())
-    return _Walk(surv, fk_sum, fk_sumsq, hit_step, reason)
+    return _Walk(surv, fk_sum, fk_sumsq)
 
 
 def _bilinear(kern: _Kernel, grid, fx, fy):
@@ -475,32 +434,26 @@ def _bilinear(kern: _Kernel, grid, fx, fy):
 
 
 def _walk(kern: _Kernel, cfg: PathConfig, points, n_steps: int, dt: float,
-          threads: int = 1, pick=None, **kw) -> _Walk:
-    """Walk paths from the start points in BATCH_PATHS batches.
+          threads: int = 1, **kw) -> _Walk:
+    """Walk cfg.n_paths paths from each start point in BATCH_PATHS batches.
 
-    Without `pick` the layout is start-major: cfg.n_paths paths per start,
-    path = start * cfg.n_paths + j.  With it the walk has cfg.n_paths
-    paths in all, and pick(batch_index, size) gives their start indices.
-    Batches are keyed by (seed, batch) and reduced in batch order.
+    The layout is start-major, path = start * cfg.n_paths + j.  Batches are
+    keyed by (seed, batch) and reduced in batch order.
     """
     starts = kern.start_table(points)
-    n_total = cfg.n_paths if pick is not None else cfg.n_paths * starts[0].size
+    n_total = cfg.n_paths * starts[0].size
     los = range(0, n_total, BATCH_PATHS)
 
     def job(b):
         lo = los[b]
-        size = min(BATCH_PATHS, n_total - lo)
-        sid = (pick(b, size) if pick is not None
-               else np.arange(lo, lo + size) // cfg.n_paths)
+        sid = np.arange(lo, min(lo + BATCH_PATHS, n_total)) // cfg.n_paths
         return _walk_batch(kern, batch_rng(cfg.seed, _WALK_STREAM, b), starts,
                            sid, n_steps, dt, cfg.bridge_correction, **kw)
 
     parts = map_batches(job, len(los), threads)
     return _Walk(surv=sum(p.surv for p in parts),
                  fk_sum=sum(p.fk_sum for p in parts),
-                 fk_sumsq=sum(p.fk_sumsq for p in parts),
-                 hit_step=np.concatenate([p.hit_step for p in parts]),
-                 reason=np.concatenate([p.reason for p in parts]))
+                 fk_sumsq=sum(p.fk_sumsq for p in parts))
 
 
 def _bias_note(kern: _Kernel, dt: float) -> str:
@@ -515,84 +468,25 @@ def _mean_stderr(total, total_sq, n):
     return mean, math.sqrt(var / n)
 
 
-def _start_point(kern: _Kernel, cfg: PathConfig, x=None):
-    """The start (x, or cfg.start when x is None) as a float pair; raises
-    BrownianError unless it is one point inside the domain."""
-    pt = x if x is not None else cfg.start
-    if pt is None:
-        raise BrownianError("no start point: pass x or set PathConfig.start")
-    pt = np.asarray(pt, dtype=float)
+def _start_point(kern: _Kernel, x):
+    """The start x as a float pair; raises BrownianError unless it is one
+    point inside the domain."""
+    pt = np.asarray(x, dtype=float)
     if pt.shape != (2,):
         raise BrownianError("start must be a single (x, y) point")
     kern.start_table([pt])
     return float(pt[0]), float(pt[1])
 
 
-def _target_mask(dom: GridDomain, target):
-    """Normalize a target spec to a node mask, or None for 'boundary'."""
-    if isinstance(target, str):
-        if target == "boundary":
-            return None
-        raise BrownianError(f"unknown target string {target!r}")
-    if isinstance(target, np.ndarray) and target.dtype == bool:
-        if target.shape != dom.mask.shape:
-            raise BrownianError("target mask shape does not match the grid")
-        tm = target & dom.mask
-    else:
-        pts = np.atleast_2d(np.asarray(target, dtype=float))
-        if pts.size == 0 or pts.shape[1] != 2:
-            raise BrownianError("target must be 'boundary', a bool mask, "
-                                "or a list of (x, y) points")
-        inside = dom.contains(pts[:, 0], pts[:, 1])
-        if not inside.all():
-            x, y = pts[int(np.argmin(inside))]
-            raise BrownianError(f"target point ({x:g}, {y:g}) is outside "
-                                f"the domain")
-        tm = np.zeros(dom.mask.shape, dtype=bool)
-        tm[dom.nearest_node(pts[:, 0], pts[:, 1])] = True
-    if not tm.any():
-        warnings.warn("target does not overlap the domain; the estimate "
-                      "will be zero", stacklevel=3)
-    return tm
-
-
 # ---------------------------------------------------------------------------
 # public estimators
-
-
-def hit_probability(dom: GridDomain, target, cfg: PathConfig,
-                    bc_mode: str = "mixed", threads: int = 1) -> PathEstimate:
-    """Probability of reaching the target before absorption or horizon.
-
-    target: 'boundary' (absorption itself is the event), a boolean node
-    mask, or a list of points inside the domain (their cells).  Paths
-    move under the domain's wall labels unless bc_mode forces
-    dirichlet/neumann.
-    """
-    kern = _kernel(dom, bc_mode)
-    start = _start_point(kern, cfg)
-    n_steps, dt = cfg.resolve_steps(kern.h)
-    tm = _target_mask(dom, target)
-    n = cfg.n_paths
-    if tm is None:
-        walk = _walk(kern, cfg, [start], n_steps, dt, threads,
-                     checkpoints=[n_steps])
-        hits = n - walk.surv[0, 0]
-    else:
-        walk = _walk(kern, cfg, [start], n_steps, dt, threads, target_mask=tm)
-        hits = float(np.count_nonzero(walk.reason == _HIT))
-    mean, stderr = _mean_stderr(hits, hits, n)  # indicator: sq == value
-    return PathEstimate(mean=mean, stderr=stderr, n_paths=n, seed=cfg.seed,
-                        bias_note=_bias_note(kern, dt))
 
 
 def survival_probability(dom: GridDomain, x, t: float, cfg: PathConfig,
                          threads: int = 1) -> PathEstimate:
     """P(path from x not absorbed by time t) under the domain's labels."""
-    if t < 0:
-        raise BrownianError("t must be >= 0")
     kern = _kernel(dom, "mixed")
-    start = _start_point(kern, cfg, x)
+    start = _start_point(kern, x)
     if t == 0:
         return PathEstimate(mean=1.0, stderr=0.0, n_paths=cfg.n_paths,
                             seed=cfg.seed, bias_note="t=0: survival is 1")
@@ -613,29 +507,38 @@ def feynman_kac(dom: GridDomain, result: SpectralResult, x, t: float,
     Path behavior follows result.bc_mode: killed paths for a Dirichlet
     spectrum, reflected (never killed) for Neumann, per-label for mixed.
     The eigenfield is bilinearly interpolated; t=0 returns phi(x) exactly.
+    Reading phi that way at the path ends biases the mean by about
+    -(h^2/12) * lam * exact (the mean interpolation error of a mode with
+    Laplacian -lam * phi); the bias note gives the value, and z_score does
+    not subtract it.
     """
     if grid_hash(result.dom) != grid_hash(dom):
         raise BrownianError("eigenfield grid does not match the domain")
-    if t < 0:
-        raise BrownianError("t must be >= 0")
+    if not (isinstance(mode_index, (int, np.integer))
+            and 0 <= mode_index < result.k):
+        raise BrownianError(f"mode_index {mode_index!r} is not one of the "
+                            f"{result.k} computed modes")
     kern = _kernel(dom, result.bc_mode)
-    start = _start_point(kern, cfg, x)
+    start = _start_point(kern, x)
     grid = result.eigenfields[mode_index]
     lam = float(result.eigenvalues[mode_index])
     fx, fy = kern.to_frac([start[0]], [start[1]])
     phi_x = float(_bilinear(kern, grid, fx, fy)[0])
-    exact = math.exp(-lam * t) * phi_x
     if t == 0:
         return FeynmanKacReport(mean=phi_x, stderr=0.0, exact=phi_x,
                                 z_score=0.0, n_paths=cfg.n_paths,
                                 seed=cfg.seed, bias_note="t=0: degenerate")
     n_steps, dt = cfg.resolve_steps(kern.h, horizon=t)
+    exact = math.exp(-lam * t) * phi_x
     walk = _walk(kern, cfg, [start], n_steps, dt, threads, fk_grid=grid)
     mean, stderr = _mean_stderr(walk.fk_sum, walk.fk_sumsq, cfg.n_paths)
     z = (mean - exact) / stderr if stderr > 0 else 0.0
+    readout = -(kern.h ** 2 / 12) * lam * exact
     return FeynmanKacReport(mean=mean, stderr=stderr, exact=exact, z_score=z,
                             n_paths=cfg.n_paths, seed=cfg.seed,
-                            bias_note=_bias_note(kern, dt))
+                            bias_note=_bias_note(kern, dt)
+                            + f"; bilinear phi readout -(h^2/12)*lam*exact="
+                            f"{readout:.3e}")
 
 
 def reflect_step(pos, proposed, dom: GridDomain):
@@ -656,77 +559,6 @@ def reflect_step(pos, proposed, dom: GridDomain):
             kern.oy + float(fy[0]) * kern.h)
 
 
-def stopping_time_to_set(dom: GridDomain, target, bc: str,
-                         cfg: PathConfig, threads: int = 1):
-    """Per-path first-hit records for a target set.
-
-    bc is 'kill', 'reflect', or 'mixed' (aliases 'dirichlet'/'neumann'
-    accepted).  Returns a list of StoppingSample in path order.
-    """
-    modes = {"kill": "dirichlet", "dirichlet": "dirichlet",
-             "reflect": "neumann", "neumann": "neumann", "mixed": "mixed"}
-    if bc not in modes:
-        raise BrownianError(f"bc must be kill, reflect or mixed, got {bc!r}")
-    kern = _kernel(dom, modes[bc])
-    start = _start_point(kern, cfg)
-    tm = _target_mask(dom, target)
-    if tm is None:
-        raise BrownianError("stopping_time_to_set needs an explicit target "
-                            "set, not 'boundary'")
-    n_steps, dt = cfg.resolve_steps(kern.h)
-    walk = _walk(kern, cfg, [start], n_steps, dt, threads, target_mask=tm)
-    times = (walk.hit_step * dt).tolist()
-    return [StoppingSample(hit=code == _HIT, T=t if step >= 0 else None,
-                           exit_reason=_REASONS[code])
-            for step, t, code in zip(walk.hit_step.tolist(), times,
-                                     walk.reason.tolist())]
-
-
-def heat_content(dom: GridDomain, t: float, cfg: PathConfig,
-                 result: SpectralResult | None = None,
-                 threads: int = 1) -> HeatContentEstimate:
-    """Integral over the domain of the absorption probability by time t.
-
-    Each of cfg.n_paths paths starts at an active node drawn with
-    probability mass/area (from its own stream, keyed like the path
-    batches), so area times the absorbed fraction estimates the lattice
-    quadrature sum(m * P_node(absorbed by t)) without bias; the stderr is
-    binomial.  A Dirichlet spectral result, if given, supplies the
-    cross-check value sum(m * (1 - q_t)).
-    """
-    if not (t > 0):
-        raise BrownianError("t must be positive")
-    kern = _kernel(dom, "mixed")
-    iy, ix = np.nonzero(dom.mask)
-    m = dom.masses[iy, ix]
-    area = float(m.sum())
-    cdf = np.cumsum(m) / area
-    n_steps, dt = cfg.resolve_steps(kern.h, horizon=t)
-
-    def pick(b, size):
-        u = batch_rng(cfg.seed, _START_STREAM, b).random(size)
-        return np.minimum(np.searchsorted(cdf, u, side="right"), m.size - 1)
-
-    walk = _walk(kern, cfg, np.column_stack(dom.node_xy(iy, ix)), n_steps,
-                 dt, threads, pick=pick, checkpoints=[n_steps])
-    n = cfg.n_paths
-    p_hit = 1.0 - float(walk.surv[0].sum()) / n
-    spectral_value = None
-    if result is not None:
-        from .spectral import survival_profile
-        q = survival_profile(result, t)
-        mr = result.operator.masses
-        qv = result.operator.field_to_vector(q.field)
-        spectral_value = float((mr * (1.0 - qv)).sum())
-    return HeatContentEstimate(value=area * p_hit,
-                               stderr=area * math.sqrt(
-                                   p_hit * (1.0 - p_hit) / max(1, n - 1)),
-                               spectral_value=spectral_value,
-                               n_starts=int(m.size), t=t, seed=cfg.seed,
-                               bias_note=_bias_note(kern, dt)
-                               + "; start nodes drawn by mass")
-
-
 def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
                                max_starts: int = 64,
                                fit_tol: float = 0.05,
@@ -743,8 +575,8 @@ def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size < 3:
         raise BrownianError("t_grid needs at least 3 times")
-    if t_grid[0] <= 0:
-        raise BrownianError("t_grid times must be positive")
+    if not ((t_grid > 0) & (t_grid < math.inf)).all():
+        raise BrownianError("t_grid times must be finite and positive")
     kern = _kernel(dom, "mixed")
     if not kern.any_dirichlet:
         raise BrownianError("decay estimation needs at least one "

@@ -1008,12 +1008,3 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"{path}: truncated PGM data, {raw.size} of "
                          f"{w} x {hgt} = {w * hgt} pixels")
     return (raw.reshape(hgt, w) > 127)[::-1]
-
-
-def write_polylines_csv(path: str, geom: LevelSetGeometry) -> None:
-    """CSV with columns component_id, vertex_index, x, y."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("component_id,vertex_index,x,y\n")
-        for ci, poly in enumerate(geom.polylines):
-            for vi, (x, y) in enumerate(np.asarray(poly)):
-                fh.write(f"{ci},{vi},{float(x)!r},{float(y)!r}\n")

@@ -18,7 +18,6 @@ heat flow damps mode j by exp(-lam_j * t).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -44,10 +43,7 @@ __all__ = [
     "survival_profile",
     "classical_bounds",
     "zeta_bound",
-    "write_field_csv",
     "write_field_pgm",
-    "result_metadata",
-    "write_result_json",
     "grid_hash",
 ]
 
@@ -500,17 +496,6 @@ def grid_hash(dom: GridDomain) -> str:
     return hsh.hexdigest()[:16]
 
 
-def write_field_csv(path, dom: GridDomain, field_grid) -> None:
-    """Write active-node samples as x,y,value rows (repr round-trippable)."""
-    f = np.asarray(field_grid, dtype=float)
-    iy, ix = np.nonzero(dom.mask)
-    xs, ys = dom.node_xy(iy, ix)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,y,value\n")
-        for x, y, val in zip(xs, ys, f[iy, ix]):
-            fh.write(f"{float(x)!r},{float(y)!r},{float(val)!r}\n")
-
-
 def write_field_pgm(path, dom: GridDomain, field_grid) -> None:
     """8-bit heatmap of a node field: active range mapped to 1..255,
     off-domain pixels 0, top row = largest y (image convention)."""
@@ -524,27 +509,3 @@ def write_field_pgm(path, dom: GridDomain, field_grid) -> None:
         levels = 1.0 + 254.0 * (f - lo) / span
     img = np.where(dom.mask, np.clip(np.rint(levels), 1, 255), 0)
     write_pgm(path, img.astype(np.uint8))
-
-
-def result_metadata(result: SpectralResult) -> dict:
-    """JSON-ready summary: eigenvalues, residuals, bc mode, grid identity."""
-    dom = result.dom
-    return {
-        "bc_mode": result.bc_mode,
-        "k": result.k,
-        "eigenvalues": [float(x) for x in result.eigenvalues],
-        "residuals": [float(x) for x in result.residuals],
-        "grid": {
-            "name": dom.name,
-            "h": dom.h,
-            "shape": list(dom.mask.shape),
-            "n_active": dom.n_active,
-            "hash": grid_hash(dom),
-        },
-    }
-
-
-def write_result_json(path, result: SpectralResult) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(result_metadata(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -11,7 +11,6 @@ also hold at any BLAS thread count.
 
 import dataclasses
 import gc
-import hashlib
 import math
 import warnings
 import weakref
@@ -47,14 +46,6 @@ def doms():
     }
 
 
-def _stopping_digest(samples):
-    reasons = {k: sum(s.exit_reason == k for s in samples)
-               for k in ("hit_target", "killed", "horizon")}
-    total_t = math.fsum(s.T for s in samples if s.hit)
-    rows = repr([(s.hit, s.T, s.exit_reason) for s in samples])
-    return reasons, total_t, hashlib.sha256(rows.encode()).hexdigest()[:16]
-
-
 def closed_form_result(dom, bc, mode):
     """The solver's result for the lowest mode + 1 pairs of a pinned
     rectangle, with pair `mode` replaced by its closed form: a discrete sine
@@ -86,7 +77,7 @@ def closed_form_result(dom, bc, mode):
 def pinned_outputs(doms, threads):
     """Every pinned estimate, as plain floats, for one worker count, and
     the z-scores of the Feynman-Kac estimates against exp(-lam t) phi(x)."""
-    sq, mixed = doms["square"], doms["mixed"]
+    sq = doms["square"]
     out, fk_z = {}, {}
 
     def est(key, e):
@@ -113,21 +104,6 @@ def pinned_outputs(doms, threads):
                             threads=threads)
         est(f"feynman_kac_{bc}", rep)
         fk_z[bc] = rep.z_score
-
-    cfg = B.PathConfig(t_max=0.03, n_paths=N_PINNED, dt=0.0015, seed=11,
-                       start=(0.3, 0.5))
-    est("hit_boundary", B.hit_probability(mixed, "boundary", cfg,
-                                          threads=threads))
-    right = np.indices(mixed.mask.shape)[1] >= 7
-    cfg = B.PathConfig(t_max=0.05, n_paths=N_PINNED, dt=0.0025, seed=12,
-                       start=(0.25, 0.5))
-    est("hit_mask", B.hit_probability(mixed, right, cfg, threads=threads))
-
-    cfg = B.PathConfig(t_max=0.05, n_paths=N_PINNED, dt=0.0025, seed=13,
-                       start=(0.3, 0.5))
-    for bc in ("mixed", "reflect"):
-        out[f"stopping_{bc}"] = _stopping_digest(B.stopping_time_to_set(
-            mixed, [(0.6, 0.5), (0.6, 0.6)], bc, cfg, threads=threads))
     return out, fk_z
 
 
@@ -135,12 +111,6 @@ PINS = {
     "feynman_kac_dirichlet": (1.2610051646905818, 0.004441730905448301),
     "feynman_kac_mixed": (0.8510537853319987, 0.0009122125008116921),
     "feynman_kac_neumann": (-0.973192837542013, 0.0040781713498270235),
-    "hit_boundary": (0.21870588235294117, 0.003170485872560811),
-    "hit_mask": (0.05911764705882353, 0.0018088999416943498),
-    "stopping_mixed": ({"hit_target": 3218, "horizon": 8070, "killed": 5712},
-                       83.3525, "bc18bb9d5485300b"),
-    "stopping_reflect": ({"hit_target": 3547, "horizon": 13453, "killed": 0},
-                         95.935, "93e0586d2f78b916"),
     "survival_dumbbell_neck": (0.07776470588235294, 0.0020540000475052864),
     "survival_square": (0.8344705882352941, 0.0028505680687091403),
     "survival_square_no_bridge": (0.8694117647058823, 0.0025843605081804035),
@@ -185,17 +155,25 @@ def test_survival_matches_spectral_profile():
 def test_start_major_layout(doms):
     """path = start * n_paths + j: three copies of one start walk the
     slots of a single-start walk of three times the paths, block by
-    block."""
+    block.  Survival is counted at every step; a batch that gives each
+    slot its own start reads every path's alive state from those counts."""
     kern = B._kernel(doms["mixed"], "mixed")
-    start = (0.3, 0.5)
-    cfg = B.PathConfig(t_max=0.05, n_paths=300, dt=0.0025, seed=5)
-    split = B._walk(kern, cfg, [start] * 3, 20, 0.0025, checkpoints=[20])
+    start, every = (0.3, 0.5), range(1, 21)
+    rng = B.batch_rng(5, B._WALK_STREAM, 0)
+    per_path = B._walk_batch(kern, rng, kern.start_table([start] * 900),
+                             np.arange(900), 20, 0.0025, True,
+                             checkpoints=every).surv
+    assert set(np.unique(per_path)) == {0.0, 1.0}
+    assert (np.diff(per_path, axis=0) <= 0).all()
     cfg = B.PathConfig(t_max=0.05, n_paths=900, dt=0.0025, seed=5)
-    whole = B._walk(kern, cfg, [start], 20, 0.0025, checkpoints=[20])
-    assert np.array_equal(split.reason, whole.reason)
-    blocks = (whole.reason == B._HORIZON).reshape(3, 300).sum(axis=1)
-    assert np.array_equal(split.surv[0], blocks)
-    assert 0 < blocks.sum() < 900
+    whole = B._walk(kern, cfg, [start], 20, 0.0025, checkpoints=every)
+    assert np.array_equal(whole.surv[:, 0], per_path.sum(axis=1))
+    cfg = B.PathConfig(t_max=0.05, n_paths=300, dt=0.0025, seed=5)
+    split = B._walk(kern, cfg, [start] * 3, 20, 0.0025, checkpoints=every)
+    blocks = per_path.reshape(20, 3, 300).sum(axis=2)
+    assert np.array_equal(split.surv, blocks)
+    assert 0 < blocks[-1].sum() < 900
+    assert len(set(blocks[-1])) > 1  # the blocks tell their slots apart
 
 
 def test_free_step_matches_resolve_step(doms):
@@ -295,16 +273,15 @@ def test_start_beyond_grid_rejected(doms, x):
     """Starts off the lattice or non-finite are outside the domain, as
     GridDomain.contains says, even where the edge rows are active."""
     assert not doms["neumann"].contains(*x)
-    cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001, start=x)
+    cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy cast warning either
         with pytest.raises(B.BrownianError, match="outside"):
             B.survival_probability(doms["neumann"], x, 0.01, cfg)
         with pytest.raises(B.BrownianError, match="outside"):
-            B.hit_probability(doms["mixed"], "boundary", cfg)
-    cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001, start=(1.0, -5.0))
+            B.survival_probability(doms["mixed"], x, 0.01, cfg)
     with pytest.raises(B.BrownianError, match="outside"):
-        B.hit_probability(doms["mixed"], "boundary", cfg)
+        B.survival_probability(doms["mixed"], (1.0, -5.0), 0.01, cfg)
 
 
 def test_start_checked_at_time_zero(doms):
@@ -320,21 +297,6 @@ def test_start_checked_at_time_zero(doms):
     assert B.survival_probability(dom, (0.5, 0.3), 0.0, cfg).mean == 1.0
     fk = B.feynman_kac(dom, res, (0.5, 0.3), 0.0, cfg, mode_index=1)
     assert fk.mean == fk.exact and fk.stderr == 0.0
-
-
-@pytest.mark.parametrize("target", [[(5.0, 5.0)], [(0.5, 0.3), (-0.2, 0.3)],
-                                    [(math.inf, 0.3)]])
-def test_target_outside_rejected(doms, target):
-    """A target point outside the domain is an error, not a clip onto the
-    nearest edge node."""
-    dom = doms["neumann"]
-    cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001, start=(0.5, 0.3))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(B.BrownianError, match="target point"):
-            B.hit_probability(dom, target, cfg, bc_mode="neumann")
-        with pytest.raises(B.BrownianError, match="target point"):
-            B.stopping_time_to_set(dom, target, "reflect", cfg)
 
 
 def test_kernel_cache_shared_and_weak():
@@ -354,27 +316,6 @@ def test_kernel_cache_shared_and_weak():
     assert gone() is None
 
 
-def test_heat_content_matches_spectral(doms):
-    """Start nodes drawn by mass make area * P(absorbed) an unbiased
-    estimate of the lattice sum m * (1 - q_t).  At dt = 5e-4 the walker
-    sits 0.0010 +- 0.0006 below it (6 x 50000 paths), a quarter of this
-    test's stderr."""
-    sq = doms["square"]
-    res = solve_eigs(assemble_laplacian(sq, "dirichlet"), 60, 0)
-    cfg = B.PathConfig(t_max=0.02, n_paths=10000, dt=0.0005, seed=0)
-    est = B.heat_content(sq, 0.02, cfg, result=res)
-    assert est.n_starts == int(sq.mask.sum())
-    assert abs(est.value - est.spectral_value) <= 4.5 * est.stderr
-    assert 0.003 < est.stderr < 0.006
-
-
-def test_heat_content_threads_bitwise(doms):
-    cfg = B.PathConfig(t_max=0.01, n_paths=17000, dt=0.001, seed=1)
-    one = B.heat_content(doms["square"], 0.01, cfg, threads=1)
-    two = B.heat_content(doms["square"], 0.01, cfg, threads=2)
-    assert (one.value, one.stderr) == (two.value, two.stderr)
-
-
 def test_decay_lambda_matches_closed_form(doms):
     """Mixed 2 x 1 rectangle, Dirichlet left and right: the lattice
     lambda_1 is that of a chain of nx - 2 nodes, 4/h^2 sin^2(pi h / 4).
@@ -387,3 +328,59 @@ def test_decay_lambda_matches_closed_form(doms):
     assert rep.bias_note.endswith("; 35 start nodes")
     assert abs(rep.lambda_hat - lam1) <= 4.5 * rep.stderr
     assert 0.03 < rep.stderr < 0.1
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -0.01])
+def test_bad_times_rejected(doms, bad):
+    """A non-finite or negative time, horizon, dt or t_max is a
+    BrownianError, not an OverflowError or ValueError from the step
+    count."""
+    dom = doms["square"]
+    cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001)
+    res = solve_eigs(assemble_laplacian(dom, "dirichlet"), 1, 0)
+    with pytest.raises(B.BrownianError, match="finite and positive"):
+        B.survival_probability(dom, (0.5, 0.5), bad, cfg)
+    with pytest.raises(B.BrownianError, match="finite and positive"):
+        B.feynman_kac(dom, res, (0.5, 0.5), bad, cfg)
+    with pytest.raises(B.BrownianError, match="finite and positive"):
+        B.mixed_eigenvalue_via_decay(doms["mixed"], cfg, (0.3, 0.6, bad))
+    with pytest.raises(B.BrownianError, match="finite and positive"):
+        cfg.resolve_steps(dom.h, horizon=bad)
+    with pytest.raises(B.BrownianError, match="t_max"):
+        B.PathConfig(t_max=bad, n_paths=100)
+    with pytest.raises(B.BrownianError, match="dt"):
+        B.PathConfig(t_max=0.01, n_paths=100, dt=bad)
+
+
+@pytest.mark.parametrize("n", [100.5, 200.0, "200"])
+def test_non_integral_path_count_rejected(n):
+    with pytest.raises(B.BrownianError, match="n_paths"):
+        B.PathConfig(t_max=0.01, n_paths=n)
+    assert B.PathConfig(t_max=0.01, n_paths=np.int64(200)).n_paths == 200
+
+
+@pytest.mark.parametrize("mode", [-1, 2, 5, 1.0])
+def test_mode_index_out_of_range_rejected(doms, mode):
+    """Only the result's computed modes can be checked; -1 does not wrap
+    round to the top one."""
+    dom = doms["square"]
+    res = solve_eigs(assemble_laplacian(dom, "dirichlet"), 2, 0)
+    cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001)
+    for t in (0.0, 0.01):
+        with pytest.raises(B.BrownianError, match="mode_index"):
+            B.feynman_kac(dom, res, (0.5, 0.5), t, cfg, mode_index=mode)
+
+
+def test_feynman_kac_note_gives_readout_bias(doms):
+    """The pinned mixed case: -(h^2/12) lam exact = -0.0027, against a
+    measured bias of -0.0031 +- 0.0001 (see test_fixed_seed_pins_bitwise)."""
+    dom = doms["mixed"]
+    res = closed_form_result(dom, "mixed", 0)
+    cfg = B.PathConfig(t_max=0.04, n_paths=100, dt=0.002, seed=7)
+    rep = B.feynman_kac(dom, res, (1.0, 0.5), 0.04, cfg)
+    value = float(rep.bias_note.rsplit("=", 1)[1])
+    lam = float(res.eigenvalues[0])
+    assert value == pytest.approx(-dom.h ** 2 / 12 * lam * rep.exact,
+                                  rel=1e-3)
+    assert -0.0028 < value < -0.0026
+    assert rep.bias_note.startswith("Euler absorption bias")

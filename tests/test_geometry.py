@@ -23,7 +23,6 @@ from eigenwalk.geometry import (
     read_pgm,
     set_distance,
     write_pgm,
-    write_polylines_csv,
 )
 
 import oracles
@@ -708,17 +707,3 @@ def test_custom_mask_from_pgm_matches_rows(tmp_path):
         family="custom_mask",
         params={"cell_size": 0.1, "pgm": str(path)}, resolution=16))
     assert np.array_equal(dom.mask, dom2.mask)
-
-
-def test_polyline_csv_format(tmp_path):
-    dom = unit_square()
-    ls = extract_level_set(dom, sine_field(dom), 0.5)
-    path = tmp_path / "ls.csv"
-    write_polylines_csv(str(path), ls)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "component_id,vertex_index,x,y"
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"
-    float(first[2]), float(first[3])
-    # full float repr round-trips exactly
-    assert float(first[2]) == ls.polylines[0][0][0]

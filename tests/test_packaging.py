@@ -1,9 +1,12 @@
 """Packaging metadata points only at code that exists."""
 
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import eigenwalk
 
 tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
 
@@ -18,3 +21,15 @@ def test_console_scripts_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"console script {name} -> {target}"
+
+
+def test_exports_resolve():
+    """Every name in the package's and each submodule's __all__ exists, so
+    a deletion cannot leave a stale export behind."""
+    modules = [eigenwalk] + [
+        importlib.import_module(f"eigenwalk.{m.name}")
+        for m in pkgutil.iter_modules(eigenwalk.__path__)]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__: {name}"
+    assert sum(hasattr(m, "__all__") for m in modules) >= 3

@@ -6,7 +6,6 @@ rounding, not merely to discretization accuracy.  Continuum pins
 (2*pi^2, pi^2, j_{0,1}^2) then only measure the h^2 discretization gap.
 """
 
-import json
 import math
 
 import numpy as np
@@ -24,12 +23,9 @@ from eigenwalk.spectral import (
     classical_bounds,
     grid_hash,
     heat_semigroup,
-    result_metadata,
     solve_eigs,
     survival_profile,
-    write_field_csv,
     write_field_pgm,
-    write_result_json,
     zeta_bound,
 )
 
@@ -430,16 +426,6 @@ class TestClosedForms:
 
 
 class TestExports:
-    def test_csv_has_one_row_per_active_node(self, tmp_path, sq128d):
-        p = tmp_path / "field.csv"
-        write_field_csv(p, sq128d.dom, sq128d.eigenfields[0])
-        lines = p.read_text().splitlines()
-        assert lines[0] == "x,y,value"
-        assert len(lines) - 1 == sq128d.dom.n_active
-        x, y, v = lines[1].split(",")
-        assert float(v) == sq128d.eigenfields[0][
-            sq128d.operator.iy[0], sq128d.operator.ix[0]]
-
     def test_pgm_shape_and_range(self, tmp_path, sq128d):
         p = tmp_path / "field.pgm"
         write_field_pgm(p, sq128d.dom, sq128d.eigenfields[0])
@@ -454,36 +440,11 @@ class TestExports:
         assert np.all(img[~sq128d.dom.mask] == 0)
         assert img[sq128d.dom.mask].min() >= 1
 
-    def test_json_metadata_deterministic(self, tmp_path):
-        spec = DomainSpec(family="rectangle",
-                          params={"width": 1.0, "height": 1.0},
-                          resolution=24, bc_default="dirichlet")
-        outs = []
-        for tag in ("a", "b"):
-            r = solve_eigs(assemble_laplacian(build_domain(spec), "dirichlet"),
-                           k=3, seed=0)
-            p = tmp_path / f"{tag}.json"
-            write_result_json(p, r)
-            outs.append(p.read_bytes())
-        assert outs[0] == outs[1]
-        meta = json.loads(outs[0])
-        assert sorted(meta) == ["bc_mode", "eigenvalues", "grid", "k",
-                                "residuals"]
-        assert len(meta["eigenvalues"]) == 3
-        assert len(meta["grid"]["hash"]) == 16
-
     def test_grid_hash_sensitive_to_mask(self):
         a = rect(resolution=24)
         b = rect(resolution=25)
         assert grid_hash(a) != grid_hash(b)
         assert grid_hash(a) == grid_hash(rect(resolution=24))
-
-    def test_metadata_matches_result(self, dumbbell_n):
-        meta = result_metadata(dumbbell_n)
-        assert meta["bc_mode"] == "neumann"
-        assert meta["k"] == 20
-        assert meta["eigenvalues"] == [float(x)
-                                       for x in dumbbell_n.eigenvalues]
 
 
 # ---------------------------------------------------------------------------
