@@ -10,7 +10,7 @@ step under reflecting walls.
 Increments are Euler steps with per-coordinate variance 2*dt, matching the
 heat semigroup convention used by the spectral module (mode j decays like
 exp(-lam_j t)).  Boundary geometry is read from the same per-cell wall code
-(geometry.wall_code) the finite-volume operator is assembled from, so Monte
+(GridDomain.code) the finite-volume operator is assembled from, so Monte
 Carlo and eigensolve answers are comparable without calibration fudges:
 
 * a Dirichlet wall kills on the ghost-node line, one full lattice step
@@ -52,8 +52,6 @@ estimators with threads > 1 from more than one thread.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,8 +59,8 @@ import numpy as np
 from scipy import ndimage
 
 from ._rng import NormalChunks, batch_rng, map_batches
-from .geometry import GridDomain, active_cell, wall_code
-from .spectral import SpectralResult, _effective_labels, grid_hash
+from .geometry import GridDomain, active_cell
+from .spectral import SpectralResult, grid_hash
 
 __all__ = [
     "BrownianError",
@@ -93,10 +91,11 @@ class PathConfig:
 
     Each estimator walks to the horizon it is given (its time t, or the
     last time of its grid); t_max only bounds dt, which must not exceed
-    t_max/10.  dt=None resolves per domain to min(h^2/4, horizon/1000),
-    keeping the spatial step below the lattice resolution.  The horizon is
-    divided into an integer number of steps, at least 10, so the effective
-    dt is the requested one rounded to land exactly on the horizon.
+    t_max/10, nor a tenth of the horizon it is used for.  dt=None resolves
+    per domain to min(h^2/4, horizon/1000), keeping the spatial step below
+    the lattice resolution.  The horizon is divided into an integer number
+    of steps, at least 10, so the effective dt is the requested one rounded
+    to land exactly on the horizon.
     """
 
     t_max: float
@@ -121,14 +120,15 @@ class PathConfig:
 
     def resolve_steps(self, h: float, horizon: float):
         """(n_steps, dt) for a grid of spacing h; dt snaps to the horizon,
-        which must be finite and positive."""
+        which must be finite and positive and at least 10 configured dt."""
         if not (0 < horizon < math.inf):
             raise BrownianError(f"time {horizon!r} must be finite and "
                                 f"positive")
+        if self.dt is not None and self.dt > horizon / 10:
+            raise BrownianError(f"dt={self.dt!r} exceeds a tenth of the "
+                                f"time {horizon!r}; pass a smaller dt")
         want = self.dt if self.dt is not None else min(h * h / 4,
                                                       horizon / 1000)
-        if want > horizon / 10:
-            want = horizon / 10
         n_steps = max(10, int(round(horizon / want)))
         return n_steps, horizon / n_steps
 
@@ -169,20 +169,17 @@ class MixedDecayReport:
 
 
 class _Kernel:
-    """Immutable per-(domain, bc_mode) tables the step loop reads.
-
-    Holds no reference to the domain, so the per-domain cache below can
-    drop it with its domain."""
+    """Immutable per-(domain, bc_mode) tables the step loop reads, built
+    by each estimator call."""
 
     def __init__(self, dom: GridDomain, bc_mode: str):
-        self.bc_mode = bc_mode
         self.h = dom.h
         self.ox, self.oy = self.origin = dom.origin
         self.mask = dom.mask
         self.ny, self.nx = dom.mask.shape
-        # the domain's wall code under bc_mode (geometry.wall_code), flat:
-        # cell (cy, cx) is entry cy * nx + cx
-        code = wall_code(dom.mask, _effective_labels(dom, bc_mode))
+        # the domain's wall code under bc_mode, flat: cell (cy, cx) is
+        # entry cy * nx + cx
+        code = dom.code(bc_mode)
         self.code = code.ravel()
         self.any_dirichlet = bool((code >> 4).any())
         # chessboard distance to the nearest cell that is inactive or lacks
@@ -228,21 +225,6 @@ class _Kernel:
             dist = (c + sgn) - f if sgn > 0 else f - (c + sgn)
             np.minimum(d, np.where(has, dist, np.inf), out=d)
         return d * self.h
-
-
-_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_KERNELS_LOCK = threading.Lock()
-
-
-def _kernel(dom: GridDomain, bc_mode: str) -> _Kernel:
-    """The kernel of (dom, bc_mode), built once and shared by every
-    estimator; an entry lives exactly as long as its domain."""
-    with _KERNELS_LOCK:
-        per_mode = _KERNELS.setdefault(dom, {})
-        kern = per_mode.get(bc_mode)
-        if kern is None:
-            kern = per_mode[bc_mode] = _Kernel(dom, bc_mode)
-    return kern
 
 
 def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
@@ -485,7 +467,7 @@ def _start_point(kern: _Kernel, x):
 def survival_probability(dom: GridDomain, x, t: float, cfg: PathConfig,
                          threads: int = 1) -> PathEstimate:
     """P(path from x not absorbed by time t) under the domain's labels."""
-    kern = _kernel(dom, "mixed")
+    kern = _Kernel(dom, "mixed")
     start = _start_point(kern, x)
     if t == 0:
         return PathEstimate(mean=1.0, stderr=0.0, n_paths=cfg.n_paths,
@@ -518,7 +500,7 @@ def feynman_kac(dom: GridDomain, result: SpectralResult, x, t: float,
             and 0 <= mode_index < result.k):
         raise BrownianError(f"mode_index {mode_index!r} is not one of the "
                             f"{result.k} computed modes")
-    kern = _kernel(dom, result.bc_mode)
+    kern = _Kernel(dom, result.bc_mode)
     start = _start_point(kern, x)
     grid = result.eigenfields[mode_index]
     lam = float(result.eigenvalues[mode_index])
@@ -546,9 +528,12 @@ def reflect_step(pos, proposed, dom: GridDomain):
 
     Specular folds about violated wall lines, x before y, at most 8
     alternations, then projection to the nearest active node center.
-    Deterministic; a proposal already inside comes back unchanged.
+    Deterministic; a proposal already inside comes back unchanged.  Raises
+    BrownianError for a pos outside the domain or a non-finite proposal.
     """
-    kern = _kernel(dom, "neumann")
+    if not np.isfinite(np.asarray(proposed, dtype=float)).all():
+        raise BrownianError(f"proposal {tuple(proposed)!r} is not finite")
+    kern = _Kernel(dom, "neumann")
     cx, cy, inside = active_cell(kern.mask, kern.origin, kern.h,
                                  [pos[0]], [pos[1]])
     if not inside[0]:
@@ -577,7 +562,10 @@ def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
         raise BrownianError("t_grid needs at least 3 times")
     if not ((t_grid > 0) & (t_grid < math.inf)).all():
         raise BrownianError("t_grid times must be finite and positive")
-    kern = _kernel(dom, "mixed")
+    if max_starts < 1:
+        raise BrownianError(f"max_starts must be at least 1, got "
+                            f"{max_starts!r}")
+    kern = _Kernel(dom, "mixed")
     if not kern.any_dirichlet:
         raise BrownianError("decay estimation needs at least one "
                             "Dirichlet-labeled wall")

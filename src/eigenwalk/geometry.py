@@ -3,15 +3,18 @@
 A domain is a boolean mask over a uniform vertex lattice: node (iy, ix) sits
 at physical point (x0 + ix*h, y0 + iy*h).  The physical boundary is the
 cell-edge polygon around the union of h-by-h cells centered on active nodes;
-it is stored as the flat list of unit walls between an active node and an
-inactive (or out-of-grid) 4-neighbor, each carrying a Dirichlet or Neumann
-label.  Everything downstream (Laplacian assembly, Brownian collision tests,
-distances) measures against this one polygon.
+its unit walls lie between an active node and an inactive (or out-of-grid)
+4-neighbor, and each is Dirichlet or Neumann.  The domain's wall code
+(``wall_code``) is the one record of which walls exist and which of them
+kill; ``GridDomain.code`` gives it under a forced condition.  Everything
+downstream (Laplacian assembly, Brownian collision tests, distances)
+measures against this one polygon.
 
 Active-node rule: for a Dirichlet side the lattice nodes lying on the ideal
 shape's boundary are excluded (their value is pinned to zero and eliminated),
 while for a Neumann side they are included and receive fractional cell masses
 so that discrete eigenvalues of the reflecting Laplacian converge at O(h^2).
+A boundary node that would hold no cell mass at all is left out.
 
 Parametric families: rectangle, disk, dumbbell (two lobes joined by a
 centered neck), octopus (disk body with protruding rectangular tentacles),
@@ -106,6 +109,11 @@ class DomainSpec:
 class GridDomain:
     """Immutable rasterized domain.
 
+    ``labels`` is one wall label (DIRICHLET or NEUMANN) for every wall, or
+    an array of them broadcast to (4, ny, nx), a label per direction
+    (+x, -x, +y, -y) and node; any other label raises DomainError.  Only
+    the wall code built from them is kept.
+
     Attributes
     ----------
     name : str
@@ -117,21 +125,16 @@ class GridDomain:
         True at active nodes.
     masses : (ny, nx) float, read-only
         finite-volume cell area attached to each node (0 off-domain).
-    walls : structured array, fields iy, ix, dir, label
-        one record per boundary wall; ``dir`` indexes (+x, -x, +y, -y) and
-        the wall is the cell edge between node (iy, ix) and that neighbor.
-    labels_by_dir : (4, ny, nx) int8, read-only
-        condition label a wall in that direction would carry; only entries
-        where a wall actually exists are meaningful.
     wall_code : (ny, nx) uint8, read-only
-        open neighbors and Dirichlet walls per node under these labels
-        (see ``wall_code``).
+        open neighbors and Dirichlet walls per node under the domain's own
+        labels (see ``wall_code``); ``code(bc_mode)`` gives it under a
+        forced condition.
     regions : dict of named sub-masks (dumbbell: left_lobe, neck,
         right_lobe; octopus: body, tentacle_<k>).
     """
 
     def __init__(self, name: str, h: float, origin: tuple[float, float],
-                 mask: np.ndarray, wall_labels_by_dir: np.ndarray,
+                 mask: np.ndarray, labels,
                  regions: dict[str, np.ndarray] | None = None,
                  spec: DomainSpec | None = None):
         self.name = name
@@ -146,14 +149,25 @@ class GridDomain:
             sub.setflags(write=False)
             self.regions[key] = sub
         self._validate_connected()
-        self.labels_by_dir = np.asarray(wall_labels_by_dir, dtype=np.int8).copy()
-        self.labels_by_dir.setflags(write=False)
-        self.wall_code = wall_code(self.mask, self.labels_by_dir)
+        bad = np.setdiff1d(labels, (DIRICHLET, NEUMANN))
+        if bad.size:
+            raise DomainError(f"wall label {bad[0]} is neither DIRICHLET "
+                              f"({DIRICHLET}) nor NEUMANN ({NEUMANN})")
+        self.wall_code = wall_code(self.mask, labels)
         self.wall_code.setflags(write=False)
-        self.walls = _extract_walls(self.mask, self.wall_code,
-                                    self.labels_by_dir)
-        self.masses = _quarter_cell_masses(self.mask, self.wall_code) * self.h ** 2
+        self.masses = _masses(_quarter_presence(self.mask, self.wall_code),
+                              self.h)
         self.masses.setflags(write=False)
+
+    def code(self, bc_mode: str) -> np.ndarray:
+        """The wall code under bc_mode: the domain's own for 'mixed', or
+        with every wall 'dirichlet' or every wall 'neumann'."""
+        if bc_mode == "mixed":
+            return self.wall_code
+        if bc_mode not in _BC_NAMES:
+            raise ValueError(f"bc_mode must be 'dirichlet', 'neumann' or "
+                             f"'mixed', got {bc_mode!r}")
+        return wall_code(self.mask, _BC_NAMES[bc_mode])
 
     # -- basic measurements ------------------------------------------------
 
@@ -175,7 +189,8 @@ class GridDomain:
         """n_active * h^2 when every wall is Dirichlet, else masses.sum(),
         the finite-volume area; on an all-Dirichlet domain that sum is smaller
         by the quarter cells cut at re-entrant corners."""
-        if (self.walls["label"] == DIRICHLET).all():
+        code = self.wall_code[self.mask]
+        if (((code | code >> 4) & 0x0F) == 0x0F).all():  # none reflects
             return self.n_active * self.h * self.h
         return float(self.masses.sum())
 
@@ -208,22 +223,17 @@ class GridDomain:
         return bool(inside) if np.ndim(inside) == 0 else inside
 
     def wall_segments(self) -> np.ndarray:
-        """(m, 4) array of wall endpoints (x1, y1, x2, y2), one per wall."""
+        """(m, 4) array of wall endpoints (x1, y1, x2, y2), one per wall:
+        direction by direction (+x, -x, +y, -y), nodes in row-major order."""
         h = self.h
-        x, y = self.node_xy(self.walls["iy"], self.walls["ix"])
-        d = self.walls["dir"]
-        segs = np.empty((d.size, 4))
-        for dd, (diy, dix) in enumerate(_DIRS):
-            sel = d == dd
-            if dix != 0:  # vertical wall at x + dix*h/2
-                wx = x[sel] + dix * h / 2.0
-                segs[sel, 0], segs[sel, 1] = wx, y[sel] - h / 2.0
-                segs[sel, 2], segs[sel, 3] = wx, y[sel] + h / 2.0
-            else:  # horizontal wall at y + diy*h/2
-                wy = y[sel] + diy * h / 2.0
-                segs[sel, 0], segs[sel, 1] = x[sel] - h / 2.0, wy
-                segs[sel, 2], segs[sel, 3] = x[sel] + h / 2.0, wy
-        return segs
+        segs = []
+        for d, (diy, dix) in enumerate(_DIRS):
+            iy, ix = np.nonzero(self.mask & ((self.wall_code & (1 << d)) == 0))
+            x, y = self.node_xy(iy, ix)
+            mx, my = x + dix * h / 2.0, y + diy * h / 2.0  # wall midpoint
+            ex, ey = (0.0, h / 2.0) if dix else (h / 2.0, 0.0)  # half length
+            segs.append(np.column_stack([mx - ex, my - ey, mx + ex, my + ey]))
+        return np.vstack(segs)
 
     def _validate_connected(self):
         if not self.mask.any():
@@ -253,7 +263,7 @@ def active_cell(mask: np.ndarray, origin, h: float, x, y):
 
 
 # ---------------------------------------------------------------------------
-# wall extraction and finite-volume masses
+# wall code and finite-volume masses
 
 
 def wall_code(mask: np.ndarray, labels) -> np.ndarray:
@@ -263,8 +273,8 @@ def wall_code(mask: np.ndarray, labels) -> np.ndarray:
     On an active node bit d (d indexing _DIRS: +x, -x, +y, -y) is set when
     neighbor d is active, and bit 4+d when direction d is a Dirichlet wall;
     a direction with both bits clear is a Neumann wall.  Inactive nodes
-    read 0.  ``labels`` is a (4, ny, nx) label array, or one label for
-    every wall.
+    read 0.  ``labels`` is a label array broadcast to (4, ny, nx), or one
+    label for every wall.
     """
     ny, nx = mask.shape
     nbr = np.zeros((4, ny, nx), dtype=bool)  # off-grid neighbors: inactive
@@ -278,29 +288,6 @@ def wall_code(mask: np.ndarray, labels) -> np.ndarray:
         code[mask & nbr[d]] |= 1 << d
         code[mask & kill[d]] |= 16 << d
     return code
-
-
-def _extract_walls(mask: np.ndarray, code: np.ndarray,
-                   labels_by_dir: np.ndarray) -> np.ndarray:
-    recs = []
-    for d in range(4):
-        iy, ix = np.nonzero(mask & ((code & (1 << d)) == 0))
-        lab = labels_by_dir[d, iy, ix]
-        recs.append((iy, ix, np.full(iy.size, d, dtype=np.int8), lab))
-    dtype = np.dtype([("iy", np.int32), ("ix", np.int32),
-                      ("dir", np.int8), ("label", np.int8)])
-    total = sum(r[0].size for r in recs)
-    walls = np.empty(total, dtype=dtype)
-    pos = 0
-    for iy, ix, dd, lab in recs:
-        sl = slice(pos, pos + iy.size)
-        walls["iy"][sl] = iy
-        walls["ix"][sl] = ix
-        walls["dir"][sl] = dd
-        walls["label"][sl] = lab
-        pos += iy.size
-    walls.setflags(write=False)
-    return walls
 
 
 def _quarter_presence(mask: np.ndarray, code: np.ndarray) -> dict:
@@ -330,14 +317,19 @@ def _quarter_presence(mask: np.ndarray, code: np.ndarray) -> dict:
     return out
 
 
-def _quarter_cell_masses(mask: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Finite-volume cell fraction per node, in units of h^2 (see
-    _quarter_presence for which quarters count)."""
-    quarters = _quarter_presence(mask, code)
-    total = np.zeros(mask.shape, dtype=np.int8)
-    for present in quarters.values():
-        total += present.astype(np.int8)
-    return np.where(mask, total / 4.0, 0.0)
+def _masses(quarters: dict, h: float) -> np.ndarray:
+    """Finite-volume cell area per node, h^2/4 per present quarter (see
+    _quarter_presence); 0 off-domain, where no quarter is present."""
+    total = sum(present.astype(np.int8) for present in quarters.values())
+    return total / 4.0 * h ** 2
+
+
+def _drop_massless(mask: np.ndarray) -> np.ndarray:
+    """The mask less the nodes that would hold no quarter cell under
+    Neumann walls, those with no active neighbor along one axis: on a
+    closed disk, (+-r, 0) and (0, +-r) when they are lattice nodes."""
+    quarters = _quarter_presence(mask, wall_code(mask, NEUMANN))
+    return mask & (_masses(quarters, 1.0) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +361,6 @@ def _probe_interior(closed, X, Y, h):
     return out
 
 
-def _uniform_labels(shape, bc: int) -> np.ndarray:
-    return np.full((4, *shape), bc, dtype=np.int8)
-
-
 def _build_rectangle(spec: DomainSpec):
     p = dict(spec.params)
     w = float(p.pop("width", 1.0))
@@ -391,12 +379,9 @@ def _build_rectangle(spec: DomainSpec):
             mask &= ~on
     # a boundary wall in the +x/-x direction always realizes the right/left
     # ideal side (a missing x-neighbor is missing because of that side),
-    # and likewise for y, so per-direction labels are constant fields
-    labels = np.empty((4, *X.shape), dtype=np.int8)
-    labels[0] = side_bc["right"]
-    labels[1] = side_bc["left"]
-    labels[2] = side_bc["top"]
-    labels[3] = side_bc["bottom"]
+    # and likewise for y, so each direction carries one label
+    labels = np.array([side_bc[s] for s in ("right", "left", "top", "bottom")],
+                      dtype=np.int8).reshape(4, 1, 1)
     return h, (0.0, 0.0), mask, labels, {}
 
 
@@ -408,8 +393,8 @@ def _build_disk(spec: DomainSpec):
     h, X, Y = _lattice(2 * r, 2 * r, spec.resolution, (-r, -r))
     r2 = X * X + Y * Y
     bc = _BC_NAMES[spec.bc_default]
-    mask = r2 < r * r if bc == DIRICHLET else r2 <= r * r
-    return h, (-r, -r), mask, _uniform_labels(X.shape, bc), {}
+    mask = r2 < r * r if bc == DIRICHLET else _drop_massless(r2 <= r * r)
+    return h, (-r, -r), mask, bc, {}
 
 
 def _build_annulus(spec: DomainSpec):
@@ -426,8 +411,8 @@ def _build_annulus(spec: DomainSpec):
     if bc == DIRICHLET:
         mask = (r2 > ri * ri) & (r2 < ro * ro)
     else:
-        mask = (r2 >= ri * ri) & (r2 <= ro * ro)
-    return h, (-ro, -ro), mask, _uniform_labels(X.shape, bc), {}
+        mask = _drop_massless((r2 >= ri * ri) & (r2 <= ro * ro))
+    return h, (-ro, -ro), mask, bc, {}
 
 
 def _build_dumbbell(spec: DomainSpec):
@@ -463,7 +448,7 @@ def _build_dumbbell(spec: DomainSpec):
         "neck": mask & (X > x_l) & (X < x_r),
         "right_lobe": mask & (X >= x_r),
     }
-    return h, (0.0, 0.0), mask, _uniform_labels(X.shape, bc), regions
+    return h, (0.0, 0.0), mask, bc, regions
 
 
 def _build_octopus(spec: DomainSpec):
@@ -513,7 +498,7 @@ def _build_octopus(spec: DomainSpec):
     regions = {"body": mask & body}
     for k, th in enumerate(angles):
         regions[f"tentacle_{k}"] = mask & tentacle_closed(X, Y, th) & ~body
-    return h, (x0, y0), mask, _uniform_labels(X.shape, bc), regions
+    return h, (x0, y0), mask, bc, regions
 
 
 def _build_l_shape(spec: DomainSpec):
@@ -545,7 +530,7 @@ def _build_l_shape(spec: DomainSpec):
         mask = closed_n(X, Y)
     else:
         mask = _probe_interior(closed, X, Y, h)
-    return h, (0.0, 0.0), mask, _uniform_labels(X.shape, bc), {}
+    return h, (0.0, 0.0), mask, bc, {}
 
 
 def _build_custom(spec: DomainSpec):
@@ -565,7 +550,7 @@ def _build_custom(spec: DomainSpec):
         grid = [[ch in "1#xX" for ch in r] for r in reversed(rows)]
         mask = np.array(grid, dtype=bool)
     bc = _BC_NAMES[spec.bc_default]
-    return cell, (0.0, 0.0), mask, _uniform_labels(mask.shape, bc), {}
+    return cell, (0.0, 0.0), mask, bc, {}
 
 
 _FAMILIES = {
@@ -690,7 +675,6 @@ class LevelSetGeometry:
     level_eta: float
     polylines: list  # list of (m_i, 2) float arrays, physical coordinates
     superlevel_mask: np.ndarray  # |field|/max >= eta, active nodes only
-    sublevel_mask: np.ndarray  # |field|/max <= eta, active nodes only
     components: np.ndarray  # 4-connected labeling of superlevel_mask, 0 = off
 
     @property
@@ -741,7 +725,6 @@ def extract_level_set(dom: GridDomain, field: np.ndarray, eta: float) -> LevelSe
     g = np.where(dom.mask, np.abs(field) / peak, 0.0)
 
     superlevel = dom.mask & (g >= eta)
-    sublevel = dom.mask & (g <= eta)
     components, _ = ndimage.label(superlevel, structure=_FOUR_CONN)
 
     segments = _march_cells(dom, g, eta)
@@ -756,8 +739,7 @@ def extract_level_set(dom: GridDomain, field: np.ndarray, eta: float) -> LevelSe
             xs, ys = dom.node_xy(iy, ix)
             polylines = [np.array([[x, y]]) for x, y in zip(xs, ys)]
     return LevelSetGeometry(level_eta=eta, polylines=polylines,
-                            superlevel_mask=superlevel, sublevel_mask=sublevel,
-                            components=components)
+                            superlevel_mask=superlevel, components=components)
 
 
 def _march_cells(dom: GridDomain, g: np.ndarray, eta: float) -> np.ndarray:

@@ -7,9 +7,11 @@ on the active lattice nodes and then standardized once and for all:
 
 so every consumer sees an ordinary symmetric positive-semidefinite sparse
 matrix whose eigenpairs (lam, u) map to physical eigenfields v = M^{-1/2} u.
-Edge conductances and node masses come from the same quarter-cell bookkeeping
-(geometry._quarter_presence), which is what makes rectangle eigenvalues exact
-discrete sines/cosines under every wall-label combination.
+Which walls kill and which reflect is the domain's decision: assembly reads
+its wall code under bc_mode (GridDomain.code), the code the walker reads
+too.  Edge conductances and node masses come from the same quarter-cell
+bookkeeping (geometry._quarter_presence), which is what makes rectangle
+eigenvalues exact discrete sines/cosines under every wall-label combination.
 
 Eigenvalue convention: B approximates -Laplace, so eigenvalues are >= 0 and
 heat flow damps mode j by exp(-lam_j * t).
@@ -27,9 +29,8 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
-from .geometry import (_BC_NAMES, DIRICHLET, NEUMANN, GridDomain,
-                       _quarter_presence, diameter, lattice_convex, wall_code,
-                       write_pgm)
+from .geometry import (GridDomain, _masses, _quarter_presence, diameter,
+                       lattice_convex, write_pgm)
 
 __all__ = [
     "SpectralError",
@@ -147,27 +148,6 @@ class ClassicalBounds:
 # assembly
 
 
-def _effective_labels(dom: GridDomain, bc_mode: str):
-    """Wall labels under bc_mode: the domain's own (4, ny, nx) labels for
-    'mixed', else the one label every wall takes."""
-    if bc_mode == "mixed":
-        labels = dom.labels_by_dir
-        on_walls = dom.walls["label"]
-        bad = ~np.isin(on_walls, (DIRICHLET, NEUMANN))
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise SpectralError(
-                f"mixed mode found a wall with unknown label "
-                f"{int(on_walls[j])} at node "
-                f"({int(dom.walls['iy'][j])}, {int(dom.walls['ix'][j])})")
-        return labels
-    try:
-        return _BC_NAMES[bc_mode]
-    except KeyError:
-        raise ValueError(f"bc_mode must be 'dirichlet', 'neumann' or "
-                         f"'mixed', got {bc_mode!r}") from None
-
-
 def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperator:
     """Build the standardized symmetric -Laplace matrix for a domain.
 
@@ -180,19 +160,16 @@ def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperat
     w in {1/2, 1} (one half per backing quarter cell), a Dirichlet wall
     adds w to the diagonal of its node, and a Neumann wall contributes
     nothing.  Which neighbors are open and which walls are Dirichlet is
-    read from the domain's wall code (geometry.wall_code) under bc_mode.
+    read from the domain's wall code under bc_mode (GridDomain.code).
     Masses are the quarter-cell areas.  On an all-Dirichlet domain they
     are h^2 except at nodes whose quarter cell a re-entrant corner cuts
     off (0.75*h^2, with half-conductance edges along that quarter); away
     from those nodes B is the textbook 5-point stencil with diagonal 4/h^2.
     """
     mask = dom.mask
-    code = wall_code(mask, _effective_labels(dom, bc_mode))
-    h = dom.h
+    code = dom.code(bc_mode)
     quarters = _quarter_presence(mask, code)
-    masses = np.zeros(mask.shape)
-    for present in quarters.values():
-        masses += present * (h * h / 4.0)
+    masses = _masses(quarters, dom.h)
 
     idx = np.full(mask.shape, -1, dtype=np.int64)
     iy, ix = np.nonzero(mask)

@@ -9,11 +9,11 @@ walker's eigenfields given in closed form (closed_form_result), so they
 also hold at any BLAS thread count.
 """
 
+import contextlib
 import dataclasses
-import gc
 import math
+import signal
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -157,7 +157,7 @@ def test_start_major_layout(doms):
     slots of a single-start walk of three times the paths, block by
     block.  Survival is counted at every step; a batch that gives each
     slot its own start reads every path's alive state from those counts."""
-    kern = B._kernel(doms["mixed"], "mixed")
+    kern = B._Kernel(doms["mixed"], "mixed")
     start, every = (0.3, 0.5), range(1, 21)
     rng = B.batch_rng(5, B._WALK_STREAM, 0)
     per_path = B._walk_batch(kern, rng, kern.start_table([start] * 900),
@@ -180,7 +180,7 @@ def test_free_step_matches_resolve_step(doms):
     """Every proposal the fast path takes lands on exactly the cell and
     position _resolve_step gives it, with no kill."""
     dom = doms["dumbbell"]
-    kern = B._kernel(dom, "mixed")
+    kern = B._Kernel(dom, "mixed")
     rng = np.random.default_rng(2024)
     iy, ix = np.nonzero(dom.mask)
     k = rng.integers(0, iy.size, 60000)
@@ -206,7 +206,7 @@ def test_free_step_matches_resolve_step(doms):
 
 @pytest.mark.parametrize("key", ["dumbbell", "square"])
 def test_margin_cells_are_free(doms, key):
-    kern = B._kernel(doms[key], "mixed")
+    kern = B._Kernel(doms[key], "mixed")
     # active with all four neighbours active, off-grid counting as inactive
     free = ndimage.binary_erosion(kern.mask,
                                   ndimage.generate_binary_structure(2, 1))
@@ -266,6 +266,13 @@ class TestReflectStep:
             with pytest.raises(B.BrownianError):
                 B.reflect_step(pos, (0.5, 0.3), doms["neumann"])
 
+    @pytest.mark.parametrize("prop", [(math.nan, 0.3), (math.inf, 0.3),
+                                      (0.5, -math.inf)])
+    def test_non_finite_proposal_rejected(self, doms, prop):
+        """Neither passed through (nan) nor projected onto a node (inf)."""
+        with pytest.raises(B.BrownianError, match="not finite"):
+            B.reflect_step((0.5, 0.3), prop, doms["neumann"])
+
 
 @pytest.mark.parametrize("x", [(-0.2, 0.3), (5.0, 5.0), (math.inf, 0.3),
                                (math.nan, 0.3)])
@@ -299,21 +306,12 @@ def test_start_checked_at_time_zero(doms):
     assert fk.mean == fk.exact and fk.stderr == 0.0
 
 
-def test_kernel_cache_shared_and_weak():
-    dom = rect(1.0, 1.0, 16, "dirichlet")
-    kern = B._kernel(dom, "mixed")
-    assert B._kernel(dom, "mixed") is kern
-    assert B._kernel(dom, "neumann") is not kern
-    B.reflect_step((0.5, 0.5), (0.55, 0.5), dom)
-    neumann = B._kernel(dom, "neumann")
-    assert neumann.bc_mode == "neumann"
-    assert "near" not in vars(neumann)  # only stragglers need it
+def test_kernel_near_is_lazy():
+    """Only stragglers read the nearest-node table, so a kernel builds it
+    on first use and keeps it."""
+    neumann = B._Kernel(rect(1.0, 1.0, 16, "dirichlet"), "neumann")
+    assert "near" not in vars(neumann)
     assert neumann.near is neumann.near
-    del neumann
-    gone = weakref.ref(dom)
-    del dom, kern
-    gc.collect()
-    assert gone() is None
 
 
 def test_decay_lambda_matches_closed_form(doms):
@@ -328,6 +326,46 @@ def test_decay_lambda_matches_closed_form(doms):
     assert rep.bias_note.endswith("; 35 start nodes")
     assert abs(rep.lambda_hat - lam1) <= 4.5 * rep.stderr
     assert 0.03 < rep.stderr < 0.1
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail the block with TimeoutError unless it returns in time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("max_starts", [0, -1])
+def test_decay_without_starts_rejected(doms, max_starts):
+    """Fewer than one start is a BrownianError: on the square it used to
+    walk no start and fail on a float, and where node (0, 0) is active
+    (Neumann 2 x 1 rectangle, Dirichlet right wall) the start-grid search
+    never ended."""
+    cfg = B.PathConfig(t_max=1.2, n_paths=100, dt=0.03)
+    right = rect(2.0, 1.0, 16, "neumann", right="dirichlet")
+    for dom in (doms["square"], right):
+        with within(10), pytest.raises(B.BrownianError, match="max_starts"):
+            B.mixed_eigenvalue_via_decay(dom, cfg, (0.3, 0.6, 0.9, 1.2),
+                                         max_starts=max_starts)
+
+
+def test_dt_above_tenth_of_horizon_rejected(doms):
+    """A configured dt is used as given, never shrunk to horizon/10."""
+    dom = doms["square"]
+    cfg = B.PathConfig(t_max=1.0, n_paths=100, dt=0.1)
+    assert cfg.resolve_steps(dom.h, horizon=1.0) == (10, 0.1)
+    with pytest.raises(B.BrownianError, match="dt"):
+        cfg.resolve_steps(dom.h, horizon=0.01)
+    with pytest.raises(B.BrownianError, match="dt"):
+        B.survival_probability(dom, (0.5, 0.5), 0.01, cfg)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -0.01])

@@ -180,9 +180,11 @@ def test_mixed_bc_rectangle_mass_and_labels():
                       overrides={"left": "dirichlet"})
     # Dirichlet on one wall shaves half a cell column off the area.
     assert abs(dom.masses.sum() - (1.0 - dom.h / 2)) < 1e-12
-    labels = dom.walls["label"]
-    assert (labels == DIRICHLET).sum() > 0
-    assert (labels == NEUMANN).sum() > 0
+    code = dom.wall_code[dom.mask]
+    kill = sum(int(((code >> (4 + d)) & 1).sum()) for d in range(4))
+    closed = sum(int(((code >> d) & 1 == 0).sum()) for d in range(4))
+    assert 0 < kill < closed  # Dirichlet walls and Neumann walls
+    assert kill == dom.mask.shape[0]  # the left side, one per row
 
 
 @pytest.mark.parametrize("spec", [
@@ -195,19 +197,29 @@ def test_mixed_bc_rectangle_mass_and_labels():
 ], ids=["mixed_rect", "left_dirichlet", "dumbbell", "l_shape", "annulus"])
 def test_wall_code_matches_scalar_scan(spec):
     dom = build_domain(spec)
-    assert np.array_equal(dom.wall_code,
-                          oracles.wall_code(dom.mask, dom.labels_by_dir))
-    for label in (DIRICHLET, NEUMANN):
+    names = {"dirichlet": DIRICHLET, "neumann": NEUMANN}
+    sides = [names[spec.bc_overrides.get(side, spec.bc_default)]
+             for side in ("right", "left", "top", "bottom")]  # +x -x +y -y
+    labels = np.broadcast_to(np.array(sides)[:, None, None], (4, *dom.shape))
+    assert np.array_equal(dom.wall_code, oracles.wall_code(dom.mask, labels))
+    assert dom.code("mixed") is dom.wall_code
+    for label, mode in ((DIRICHLET, "dirichlet"), (NEUMANN, "neumann")):
         forced = np.full((4, *dom.shape), label)
-        assert np.array_equal(geo.wall_code(dom.mask, label),
+        assert np.array_equal(dom.code(mode),
                               oracles.wall_code(dom.mask, forced))
-    # one wall record per active node and closed direction, labels kept
+    # one segment per active node and closed direction, each of length h
+    # with the domain on exactly one side of it
     closed = sum(int((dom.mask & ((dom.wall_code & (1 << d)) == 0)).sum())
                  for d in range(4))
-    assert dom.walls.size == closed
-    kill = (dom.wall_code[dom.walls["iy"], dom.walls["ix"]]
-            >> (4 + dom.walls["dir"].astype(np.uint8))) & 1
-    assert np.array_equal(kill == 1, dom.walls["label"] == DIRICHLET)
+    segs = dom.wall_segments()
+    assert segs.shape == (closed, 4)
+    mid = (segs[:, :2] + segs[:, 2:]) / 2.0
+    along = segs[:, 2:] - segs[:, :2]
+    assert np.allclose(np.hypot(*along.T), dom.h, rtol=1e-12)
+    normal = along[:, ::-1] / 4.0  # a quarter cell across the wall
+    inner = dom.contains(*(mid + normal).T)
+    outer = dom.contains(*(mid - normal).T)
+    assert (inner != outer).all()
 
 
 @pytest.mark.parametrize("spec, convex", [

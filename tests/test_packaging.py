@@ -1,7 +1,10 @@
 """Packaging metadata points only at code that exists."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,15 @@ def test_exports_resolve():
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.__all__: {name}"
     assert sum(hasattr(m, "__all__") for m in modules) >= 3
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    """set_distance imports scipy.spatial when first called; loading it
+    with the package costs about 55 ms of every `import eigenwalk`."""
+    probe = ("import sys, eigenwalk; "
+             "print('scipy.spatial' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
