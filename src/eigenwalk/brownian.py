@@ -51,6 +51,7 @@ estimators with threads > 1 from more than one thread.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -79,6 +80,7 @@ _WALK_STREAM = 0x57414C4B  # distinct stream tag; theta's oracle uses its own
 _MAX_FOLDS = 8
 _FREE = 0x0F  # wall code of a cell whose four neighbours are all active
 _BRIDGE_CUTOFF = 45.0  # exp(-45) ~ 3e-20: beyond this the bridge cannot fire
+_log = logging.getLogger("eigenwalk")
 
 
 class BrownianError(RuntimeError):
@@ -233,7 +235,9 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
     fx, fy hold the proposals (fractional lattice units); cx, cy the cell
     each path occupied before the step (active).  Mutates all four in
     place plus `alive` for ghost-line kills; returns a boolean array
-    marking paths killed during resolution.
+    marking paths killed during resolution, and the number of stragglers,
+    paths still unsettled after _MAX_FOLDS passes and projected to the
+    nearest active node.
     """
     code, nx = kern.code, kern.nx
     killed = np.zeros(fx.shape, dtype=bool)
@@ -293,7 +297,7 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
         fy[k] = ny_
         cx[k] = nx_
         cy[k] = ny_
-    return killed
+    return killed, int(todo.sum())
 
 
 def _free_step(fx, fy, cx, cy, margin):
@@ -324,6 +328,7 @@ class _Walk:
     surv: np.ndarray      # (checkpoints, starts) live-path counts
     fk_sum: float
     fk_sumsq: float
+    stragglers: int       # projections in _resolve_step
 
 
 def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
@@ -349,6 +354,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
     nx = kern.nx
     margin = kern.margin.ravel()
     code = kern.code
+    stragglers = 0
 
     for step in range(1, n_steps + 1):
         if not slot.size:
@@ -368,8 +374,9 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
         dead = np.zeros(slot.size, dtype=bool)
         if slow.size:
             sfx, sfy, scx, scy = fx[slow], fy[slow], cx[slow], cy[slow]
-            killed = _resolve_step(kern, sfx, sfy, scx, scy,
-                                   np.ones(slow.size, dtype=bool))
+            killed, lost = _resolve_step(kern, sfx, sfy, scx, scy,
+                                         np.ones(slow.size, dtype=bool))
+            stragglers += lost
             fx[slow], fy[slow] = sfx, sfy
             nx_[slow], ny_[slow] = scx, scy
             dead[slow[killed]] = True
@@ -398,7 +405,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
         vals[slot] = _bilinear(kern, fk_grid, fx, fy)
         fk_sum = float(vals.sum())
         fk_sumsq = float((vals * vals).sum())
-    return _Walk(surv, fk_sum, fk_sumsq)
+    return _Walk(surv, fk_sum, fk_sumsq, stragglers)
 
 
 def _bilinear(kern: _Kernel, grid, fx, fy):
@@ -420,7 +427,9 @@ def _walk(kern: _Kernel, cfg: PathConfig, points, n_steps: int, dt: float,
     """Walk cfg.n_paths paths from each start point in BATCH_PATHS batches.
 
     The layout is start-major, path = start * cfg.n_paths + j.  Batches are
-    keyed by (seed, batch) and reduced in batch order.
+    keyed by (seed, batch) and reduced in batch order.  The straggler
+    projections summed over the batches, the same at any worker count,
+    are logged at DEBUG to the "eigenwalk" logger.
     """
     starts = kern.start_table(points)
     n_total = cfg.n_paths * starts[0].size
@@ -433,9 +442,14 @@ def _walk(kern: _Kernel, cfg: PathConfig, points, n_steps: int, dt: float,
                            sid, n_steps, dt, cfg.bridge_correction, **kw)
 
     parts = map_batches(job, len(los), threads)
-    return _Walk(surv=sum(p.surv for p in parts),
+    walk = _Walk(surv=sum(p.surv for p in parts),
                  fk_sum=sum(p.fk_sum for p in parts),
-                 fk_sumsq=sum(p.fk_sumsq for p in parts))
+                 fk_sumsq=sum(p.fk_sumsq for p in parts),
+                 stragglers=sum(p.stragglers for p in parts))
+    _log.debug("lattice walk: %d paths from %d starts, %d steps of "
+               "dt=%.3g, %d straggler projections", n_total, starts[0].size,
+               n_steps, dt, walk.stragglers)
+    return walk
 
 
 def _bias_note(kern: _Kernel, dt: float) -> str:

@@ -12,9 +12,12 @@ measures against this one polygon.
 
 Active-node rule: for a Dirichlet side the lattice nodes lying on the ideal
 shape's boundary are excluded (their value is pinned to zero and eliminated),
-while for a Neumann side they are included and receive fractional cell masses
-so that discrete eigenvalues of the reflecting Laplacian converge at O(h^2).
-A boundary node that would hold no cell mass at all is left out.
+while for a Neumann side they are included and receive fractional cell masses.
+Discrete eigenvalues of the reflecting Laplacian then converge at O(h^2) on
+lattice-aligned Neumann sides, but only at first order on curved ones, where
+the staircase stays: mu_2 of the unit Neumann disk is +4.25% above
+(j'_{1,1})^2 at resolution 64 and +2.07% at 128.  A boundary node that would
+hold no cell mass at all is left out.
 
 Parametric families: rectangle, disk, dumbbell (two lobes joined by a
 centered neck), octopus (disk body with protruding rectangular tentacles),

@@ -20,6 +20,7 @@ heat flow damps mode j by exp(-lam_j * t).
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +48,9 @@ __all__ = [
     "write_field_pgm",
     "grid_hash",
 ]
+
+_log = logging.getLogger("eigenwalk")
+
 
 class SpectralError(RuntimeError):
     """Eigensolve failed to reach the requested residual, or an operator
@@ -227,8 +231,12 @@ def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperat
 
     m = masses[iy, ix]
     if (m <= 0).any():
-        raise SpectralError("active node with zero finite-volume mass; "
-                            "domain is under-resolved at its boundary")
+        j = int(np.argmax(m <= 0))
+        raise SpectralError(
+            f"active node (row {iy[j]}, column {ix[j]}) of {dom.name!r} holds "
+            f"no quarter cell under bc_mode={bc_mode!r}, so its "
+            f"finite-volume mass is zero; the domain is under-resolved at "
+            f"its boundary there")
     s = 1.0 / np.sqrt(m)
     B = sparse.diags(s) @ K @ sparse.diags(s)
     B = ((B + B.T) * 0.5).tocsr()  # exact symmetry against summation order
@@ -264,15 +272,91 @@ def _shift_invert(B, sigma: float) -> LinearOperator:
     return LinearOperator(B.shape, matvec=lu.solve, dtype=B.dtype)
 
 
+def _lanczos(B, k: int, sigma: float, v0, tol: float, what: str):
+    """Lowest k eigenpairs of sparse symmetric B: shift-inverted Lanczos
+    about sigma, then a Rayleigh-Ritz cleanup; unsorted."""
+    try:
+        lam, U = eigsh(B, k=k, sigma=sigma, which="LM", v0=v0, tol=tol,
+                       maxiter=max(1000, 20 * k),
+                       OPinv=_shift_invert(B, sigma))
+    except ArpackNoConvergence as exc:
+        got = len(exc.eigenvalues)
+        raise SpectralError(
+            f"Lanczos converged only {got}/{k} eigenpairs on {what}; try "
+            f"fewer pairs or a coarser grid") from exc
+    return _rayleigh_ritz(B, U)
+
+
+def _mirror(op: LaplaceOperator):
+    """(axis, P) for the first lattice mirror B commutes with, left-right
+    ('x': ix -> nx-1-ix) before up-down ('y'), or None.  P[i] is the row
+    of node i's image.  A mirror counts only if every active node maps to
+    an active node and B[P][:, P] equals B entry for entry: with no
+    tolerance, that one test covers the mask, the wall code and the
+    masses."""
+    idx = np.full(op.dom.mask.shape, -1, dtype=np.int64)
+    idx[op.iy, op.ix] = np.arange(op.n)
+    B = op.matrix
+    for axis, image in (("x", idx[:, ::-1]), ("y", idx[::-1, :])):
+        P = image[op.iy, op.ix]
+        if (P >= 0).all() and (B[P][:, P] != B).nnz == 0:
+            return axis, P
+    return None
+
+
+def _parity_bases(P):
+    """Orthonormal sparse bases (Q_even, Q_odd) of the vectors the mirror
+    permutation P keeps and negates: a column (e_i + e_Pi)/sqrt(2),
+    respectively (e_i - e_Pi)/sqrt(2), per mirrored pair i < P[i], and in
+    Q_even a column e_i per node on the mirror line (P[i] == i)."""
+    n = P.size
+    i = np.arange(n)
+    a = i[i < P]
+    b = P[a]
+    line = i[i == P]
+    m = a.size
+    r = math.sqrt(0.5)
+    pair = np.arange(m)
+    Qe = sparse.csc_matrix(
+        (np.concatenate([np.full(2 * m, r), np.ones(line.size)]),
+         (np.concatenate([a, b, line]),
+          np.concatenate([pair, pair, m + np.arange(line.size)]))),
+        shape=(n, m + line.size))
+    Qo = sparse.csc_matrix(
+        (np.concatenate([np.full(m, r), np.full(m, -r)]),
+         (np.concatenate([a, b]), np.concatenate([pair, pair]))),
+        shape=(n, m))
+    return Qe, Qo
+
+
 def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
                residual_tol: float = 1e-8) -> SpectralResult:
     """Lowest k eigenpairs of the operator, residual-certified.
 
     Deterministic for a fixed seed (it only sets the start vector) and a
-    fixed BLAS thread count.  Small problems are solved densely; larger
-    ones use shift-inverted Lanczos with a Rayleigh-Ritz cleanup.  If any
-    residual misses residual_tol * (1 + lam), raises SpectralError quoting
-    it.
+    fixed BLAS thread count.  Problems of at most max(4k, 256) nodes are
+    solved densely.  Larger ones use shift-inverted Lanczos with a
+    Rayleigh-Ritz cleanup, shifted to sigma = -1/L^2 with L the diagonal
+    of the domain's bounding box: just below the spectrum at the domain's
+    own scale, so the wanted eigenvalues of the inverse stay far apart
+    (a shift at the scale of the largest entry, ~4/h^2, bunches them).
+    eigsh stops at the relative tolerance residual_tol/100.
+
+    When B commutes exactly with a lattice mirror (see _mirror), Lanczos
+    runs on the mirror's even and odd halves instead, Q_e^T B Q_e and
+    Q_o^T B Q_o (see _parity_bases), one after the other, for k pairs
+    each; the lowest k of the union are the lowest k of B.  A mirror
+    separates the near-degenerate even/odd pairs of two-lobed domains,
+    which slow Lanczos on B, and each half solves with a factor of half
+    the size.  This route runs only when both halves are too large to be
+    solved densely.  Eigenvalues shared by the two halves (exactly
+    degenerate pairs, as on a four-armed octopus) come back in this
+    parity-adapted basis: one field even under the mirror, one odd.
+
+    The route (dense, Lanczos, or Lanczos on x- or y-mirror halves, with
+    the sizes and sigma) is logged at DEBUG to the "eigenwalk" logger.
+    Residuals are measured on the full B either way; if any misses
+    residual_tol * (1 + lam), raises SpectralError quoting it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -281,27 +365,39 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
     if k > n:
         raise ValueError(f"asked for {k} eigenpairs of a {n}-node operator")
 
-    if n <= max(4 * k, 256):
+    name = op.dom.name
+    dense_max = max(4 * k, 256)
+    if n <= dense_max:
+        _log.debug("solve_eigs %r: dense, n=%d", name, n)
         lam_all, U_all = scipy.linalg.eigh(B.toarray())
         lam, U = lam_all[:k], U_all[:, :k]
     else:
-        scale = float(B.diagonal().max())
-        sigma = -1e-3 * scale
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        try:
-            lam, U = eigsh(B, k=k, sigma=sigma, which="LM", v0=v0,
-                           maxiter=max(1000, 20 * k),
-                           OPinv=_shift_invert(B, sigma))
-        except ArpackNoConvergence as exc:
-            got = len(exc.eigenvalues)
-            raise SpectralError(
-                f"Lanczos converged only {got}/{k} eigenpairs on "
-                f"{op.dom.name!r} (n={n}); try fewer pairs or a coarser "
-                f"grid") from exc
-        lam, U = _rayleigh_ritz(B, U)
+        x0, y0, x1, y1 = op.dom.bbox
+        sigma = -1.0 / ((x1 - x0) ** 2 + (y1 - y0) ** 2)
+        tol = residual_tol / 100
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        mirror = _mirror(op)
+        halves = _parity_bases(mirror[1]) if mirror else None
+        if halves is None or halves[1].shape[1] <= dense_max:  # odd: smaller
+            _log.debug("solve_eigs %r: Lanczos, n=%d, sigma=%.6g",
+                       name, n, sigma)
+            lam, U = _lanczos(B, k, sigma, v0, tol, f"{name!r} (n={n})")
+        else:
+            Qe, Qo = halves
+            _log.debug("solve_eigs %r: Lanczos on %s-mirror halves, "
+                       "n_even=%d, n_odd=%d, sigma=%.6g", name, mirror[0],
+                       Qe.shape[1], Qo.shape[1], sigma)
+            lams, Us = [], []
+            for Q, part in ((Qe, "even"), (Qo, "odd")):
+                lam_h, V = _lanczos(
+                    (Q.T @ B @ Q).tocsr(), k, sigma, Q.T @ v0, tol,
+                    f"the {part} {mirror[0]}-mirror half of {name!r} "
+                    f"(n={Q.shape[1]})")
+                lams.append(lam_h)
+                Us.append(Q @ V)
+            lam, U = np.concatenate(lams), np.hstack(Us)
 
-    order = np.argsort(lam)
+    order = np.argsort(lam, kind="stable")[:k]
     lam, U = lam[order], U[:, order]
     lam = np.where(np.abs(lam) < 1e-12 * max(1.0, abs(lam[-1])), 0.0, lam)
 

@@ -11,6 +11,7 @@ also hold at any BLAS thread count.
 
 import contextlib
 import dataclasses
+import logging
 import math
 import signal
 import warnings
@@ -195,13 +196,48 @@ def test_free_step_matches_resolve_step(doms):
     fast = np.setdiff1d(np.arange(k.size), slow)
     assert fast.size > k.size // 3 and slow.size > k.size // 10
     rx, ry, rcx, rcy = fx.copy(), fy.copy(), cx.copy(), cy.copy()
-    killed = B._resolve_step(kern, rx, ry, rcx, rcy,
-                             np.ones(k.size, dtype=bool))
+    killed, _ = B._resolve_step(kern, rx, ry, rcx, rcy,
+                                np.ones(k.size, dtype=bool))
     assert not killed[fast].any()
     assert np.array_equal(rcx[fast], nx_[fast])
     assert np.array_equal(rcy[fast], ny_[fast])
     assert np.array_equal(rx[fast], fx[fast])
     assert np.array_equal(ry[fast], fy[fast])
+
+
+def _stragglers(caplog):
+    """Straggler counts of the lattice walks logged since the last clear."""
+    return [int(r.getMessage().split(", ")[-1].split()[0])
+            for r in caplog.records
+            if r.getMessage().startswith("lattice walk:")]
+
+
+def test_straggler_projections_counted(doms, caplog):
+    """Steps of about five cells (dt = 0.05 at h = 1/16) in the 1 x 0.75
+    Neumann box leave paths unsettled after _MAX_FOLDS passes; the walk
+    logs how many it projected, summed over its two batches, the same at
+    1 and 2 workers.  A pinned walk of short steps projects none."""
+    cfg = B.PathConfig(t_max=0.5, n_paths=N_PINNED, dt=0.05, seed=3)
+    counts, means = [], []
+    with caplog.at_level(logging.DEBUG, logger="eigenwalk"):
+        for threads in (1, 2):
+            caplog.clear()
+            est = B.survival_probability(doms["neumann"], (0.5, 0.4), 0.5,
+                                         cfg, threads=threads)
+            counts += _stragglers(caplog)
+            means.append(est.mean)
+        caplog.clear()
+        cfg = B.PathConfig(t_max=0.02, n_paths=N_PINNED, dt=0.001, seed=3)
+        B.survival_probability(doms["square"], (0.3, 0.45), 0.02, cfg)
+        pinned = _stragglers(caplog)
+    assert len(counts) == 2 and counts[0] == counts[1] > 1000
+    assert means == [1.0, 1.0]
+    assert pinned == [0]
+    fx, fy = np.array([8.0 + 12.5]), np.array([6.0])
+    cx, cy = np.array([8]), np.array([6])
+    _, lost = B._resolve_step(B._Kernel(doms["neumann"], "neumann"),
+                              fx, fy, cx, cy, np.ones(1, dtype=bool))
+    assert lost == 1 and doms["neumann"].mask[int(fy[0]), int(fx[0])]
 
 
 @pytest.mark.parametrize("key", ["dumbbell", "square"])

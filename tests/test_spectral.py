@@ -6,6 +6,7 @@ rounding, not merely to discretization accuracy.  Continuum pins
 (2*pi^2, pi^2, j_{0,1}^2) then only measure the h^2 discretization gap.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -15,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from eigenwalk.geometry import (DomainError, DomainSpec, GridDomain,
-                                build_domain, diameter)
+from eigenwalk import spectral
+from eigenwalk.geometry import (DIRICHLET, NEUMANN, DomainError,
+                                DomainSpec, GridDomain, build_domain,
+                                diameter)
 from eigenwalk.spectral import (
     ClassicalBounds,
     SpectralError,
@@ -114,6 +117,18 @@ class TestAssembly:
                     np.array([0, 1, 1, 2]).reshape(4, 1, 1)):
             with pytest.raises(DomainError, match="label"):
                 GridDomain("bad", 0.25, (0.0, 0.0), mask, lab)
+
+    @pytest.mark.parametrize("bc", ["neumann", "mixed"])
+    def test_zero_mass_node_named(self, bc):
+        """The bottom row "0100" is a spur: its node (row 0, column 1) has
+        no active neighbor along x, so under Neumann walls it holds no
+        quarter cell; the error names it."""
+        dom = build_domain(DomainSpec(
+            "custom_mask", {"rows": ["0110", "1111", "1110", "0100"]}, 16,
+            "neumann"))
+        with pytest.raises(SpectralError,
+                           match=r"node \(row 0, column 1\).*no quarter cell"):
+            assemble_laplacian(dom, bc)
 
     @pytest.mark.parametrize("family", ["disk", "annulus"])
     @pytest.mark.parametrize("res", [32, 64, 128])
@@ -310,6 +325,134 @@ class TestEigsContract:
         op = assemble_laplacian(rect(resolution=32), "dirichlet")
         with pytest.raises(SpectralError, match="residual"):
             solve_eigs(op, k=3, seed=0, residual_tol=1e-30)
+
+
+def _routes(caplog):
+    """The solve_eigs route lines logged since the last clear."""
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("solve_eigs")]
+
+
+MIRRORED = {
+    "dumbbell-D": (DomainSpec("dumbbell", {"neck_width": 0.25,
+                                           "neck_length": 0.5}, 56,
+                              "dirichlet"), "dirichlet"),
+    "dumbbell-N": (DomainSpec("dumbbell", {"neck_width": 0.25,
+                                           "neck_length": 0.5}, 56,
+                              "neumann"), "neumann"),
+    "octopus-D": (DomainSpec("octopus", {"tentacle_width": 0.4}, 80,
+                             "dirichlet"), "dirichlet"),
+}
+
+
+class TestMirrorSplit:
+    """Operators that commute exactly with a lattice mirror are solved as
+    its even and odd halves (solve_eigs); the rest, and those whose halves
+    would be solved densely, whole."""
+
+    @pytest.mark.parametrize("key", sorted(MIRRORED))
+    def test_split_matches_dense_and_unsplit(self, key, monkeypatch, caplog):
+        """1000 to 1800 nodes.  Eigenvalues match a dense eigh of B; the
+        fields of simple eigenvalues (no other within 1e-3 relative) match
+        the unsplit route's."""
+        spec, bc = MIRRORED[key]
+        op = assemble_laplacian(build_domain(spec), bc)
+        assert 1000 < op.n < 3000
+        with caplog.at_level(logging.DEBUG, logger="eigenwalk"):
+            r = solve_eigs(op, k=12, seed=0)
+        assert "Lanczos on x-mirror halves" in _routes(caplog)[-1]
+        want = scipy.linalg.eigh(op.matrix.toarray(), eigvals_only=True)[:12]
+        np.testing.assert_allclose(r.eigenvalues, want, rtol=1e-10,
+                                   atol=1e-10)
+        monkeypatch.setattr(spectral, "_mirror", lambda op: None)
+        whole = solve_eigs(op, k=12, seed=0)
+        lam = r.eigenvalues
+        gap = np.minimum(np.r_[np.inf, np.diff(lam)],
+                         np.r_[np.diff(lam), np.inf])
+        simple = np.nonzero(gap > 1e-3 * np.maximum(1.0, lam))[0]
+        assert simple.size >= 4
+        for j in simple:
+            np.testing.assert_allclose(r.eigenfields[j], whole.eigenfields[j],
+                                       rtol=0, atol=1e-8)
+
+    def test_degenerate_pair_is_parity_adapted(self):
+        """An octopus with four arms has exactly degenerate pairs (the bench
+        octopus's at lambda ~ 14.275 is one).  The split returns such a
+        pair in its parity-adapted basis: one field even under the
+        left-right mirror, one odd, both bit for bit."""
+        spec, bc = MIRRORED["octopus-D"]
+        r = solve_eigs(assemble_laplacian(build_domain(spec), bc), k=3, seed=0)
+        lam = r.eigenvalues
+        assert lam[2] - lam[1] < 1e-12 * lam[1]
+        parity = set()
+        for f in r.eigenfields[1:3]:
+            even = np.array_equal(f[:, ::-1], f)
+            assert even or np.array_equal(f[:, ::-1], -f)
+            parity.add(even)
+        assert parity == {True, False}
+
+    @pytest.mark.parametrize("case", ["walls", "one-node-off", "small"])
+    def test_unsplit_routes_match_dense(self, case, caplog):
+        """Whole-operator Lanczos where no mirror holds exactly (a full
+        30 x 40 mask whose -x and -y walls kill and whose others reflect,
+        so only the wall code breaks both mirrors; a mask one node off
+        symmetric) or where the halves would be dense (361 nodes, halves
+        of 171 and 190)."""
+        k = 12
+        if case == "walls":
+            labels = np.array([NEUMANN, DIRICHLET, NEUMANN, DIRICHLET])
+            dom = GridDomain("walls", 1 / 40, (0.0, 0.0),
+                             np.ones((30, 40), dtype=bool),
+                             labels.reshape(4, 1, 1))
+            bc = "mixed"
+        elif case == "one-node-off":
+            rows = ["1" * 40] * 30
+            rows[3] = "0" + "1" * 39
+            dom = build_domain(DomainSpec("custom_mask", {"rows": rows}, 16,
+                                          "dirichlet"))
+            bc = "dirichlet"
+        else:
+            dom, bc, k = rect(resolution=20), "dirichlet", 4
+        op = assemble_laplacian(dom, bc)
+        with caplog.at_level(logging.DEBUG, logger="eigenwalk"):
+            r = solve_eigs(op, k=k, seed=0)
+        x0, y0, x1, y1 = dom.bbox  # sigma = -1/L^2, L the bbox diagonal
+        sigma = -1.0 / ((x1 - x0) ** 2 + (y1 - y0) ** 2)
+        assert _routes(caplog)[-1] == (f"solve_eigs {dom.name!r}: Lanczos, "
+                                       f"n={op.n}, sigma={sigma:.6g}")
+        want = scipy.linalg.eigh(op.matrix.toarray(), eigvals_only=True)[:k]
+        np.testing.assert_allclose(r.eigenvalues, want, rtol=1e-10,
+                                   atol=1e-10)
+
+    def test_wall_code_refuses_x_mirror(self, caplog):
+        """A full mask, symmetric both ways, whose -x walls alone kill: the
+        left-right mirror maps them onto reflecting walls, so B does not
+        commute with it; the up-down mirror holds and is taken.  So too on
+        the rectangle with Dirichlet left and Neumann elsewhere, whose mask
+        already breaks the left-right mirror."""
+        labels = np.array([NEUMANN, DIRICHLET, NEUMANN, NEUMANN])
+        walls = GridDomain("walls", 1 / 40, (0.0, 0.0),
+                           np.ones((30, 40), dtype=bool),
+                           labels.reshape(4, 1, 1))
+        left = build_domain(DomainSpec(
+            "rectangle", {"width": 2.0, "height": 1.0}, 48, "neumann",
+            bc_overrides={"left": "dirichlet"}))
+        for dom in (walls, left):
+            op = assemble_laplacian(dom, "mixed")
+            assert spectral._mirror(op)[0] == "y"
+            with caplog.at_level(logging.DEBUG, logger="eigenwalk"):
+                r = solve_eigs(op, k=12, seed=0)
+            assert "Lanczos on y-mirror halves" in _routes(caplog)[-1]
+            want = scipy.linalg.eigh(op.matrix.toarray(),
+                                     eigvals_only=True)[:12]
+            np.testing.assert_allclose(r.eigenvalues, want, rtol=1e-10,
+                                       atol=1e-10)
+
+    def test_dense_route_logged(self, caplog):
+        op = assemble_laplacian(rect(resolution=16), "dirichlet")
+        with caplog.at_level(logging.DEBUG, logger="eigenwalk"):
+            solve_eigs(op, k=2, seed=0)
+        assert _routes(caplog) == [f"solve_eigs 'rectangle': dense, n={op.n}"]
 
 
 # ---------------------------------------------------------------------------
