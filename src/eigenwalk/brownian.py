@@ -4,8 +4,7 @@ One lattice walk serves three estimators: `survival_probability`, the
 probability q_t(x) that a path from x is alive at time t;
 `feynman_kac`, which checks E_x[phi(B_t); tau > t] = exp(-lam t) phi(x)
 for an eigenpair; and `mixed_eigenvalue_via_decay`, the principal
-eigenvalue from the decay of survival.  `reflect_step` resolves a single
-step under reflecting walls.
+eigenvalue from the decay of survival.
 
 Increments are Euler steps with per-coordinate variance 2*dt, matching the
 heat semigroup convention used by the spectral module (mode j decays like
@@ -21,18 +20,21 @@ Carlo and eigensolve answers are comparable without calibration fudges:
 Each step resolves the proposed displacement by walking the lattice cell
 by cell: cross into an active neighbor and keep going, fold about a
 Neumann wall line (x before y, the documented tie-break), die beyond a
-Dirichlet ghost line.  Most paths are far from any wall, and for them the
-walk only crosses open cells: each cell's margin, the chessboard distance
-to the nearest cell that is inactive or lacks an active neighbour, tells
-when a proposal lands in a cell it can reach that way, and such a path
-moves straight to that cell (the free-cell fast path, `_free_step`).
-Every other path goes through the cell walk.  Between-step absorption is
-recovered by the Brownian bridge correction: a step ending at distances
-d1, d2 from a kill line registers a crossing with probability
-exp(-d1*d2/dt), evaluated only for paths whose cells border a Dirichlet
-wall.  One uniform per path per step is always drawn, whether or not the
-correction is on, so runs with and without it see identical trajectories
-and the corrected kill set contains the uncorrected one path by path.
+Dirichlet ghost line.  Walks through open cells are not limited; a path
+still moving after _MAX_FOLDS folds settles on the node of the cell it
+has reached, and the estimate's bias note counts such path-steps.  Most
+paths are far from any wall, and for them the walk only crosses open
+cells: each cell's margin, the chessboard distance to the nearest cell
+that is inactive or lacks an active neighbour, tells when a proposal
+lands in a cell it can reach that way, and such a path moves straight to
+that cell (the free-cell fast path, `_free_step`).  Every other path goes
+through the cell walk.  Between-step absorption is recovered by the
+Brownian bridge correction: a step ending at distances d1, d2 from a kill
+line registers a crossing with probability exp(-d1*d2/dt), evaluated only
+for paths whose cells border a Dirichlet wall.  One uniform per path per
+step is always drawn, whether or not the correction is on, so runs with
+and without it see identical trajectories and the corrected kill set
+contains the uncorrected one path by path.
 
 One walk carries many start points.  Paths are laid out start-major,
 path = start * n_paths + j, and cut into fixed-size batches whose
@@ -54,7 +56,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -71,7 +72,6 @@ __all__ = [
     "MixedDecayReport",
     "survival_probability",
     "feynman_kac",
-    "reflect_step",
     "mixed_eigenvalue_via_decay",
 ]
 
@@ -176,7 +176,7 @@ class _Kernel:
 
     def __init__(self, dom: GridDomain, bc_mode: str):
         self.h = dom.h
-        self.ox, self.oy = self.origin = dom.origin
+        self.origin = dom.origin
         self.mask = dom.mask
         self.ny, self.nx = dom.mask.shape
         # the domain's wall code under bc_mode, flat: cell (cy, cx) is
@@ -186,27 +186,17 @@ class _Kernel:
         self.any_dirichlet = bool((code >> 4).any())
         # chessboard distance to the nearest cell that is inactive or lacks
         # an active neighbour, capped at _MAX_FOLDS: a step to a cell closer
-        # than this crosses only free cells (see _free_step)
+        # than this crosses only free cells (see _free_step); longer steps
+        # take the cell walk, which ends in the same place
         self.margin = np.minimum(
             ndimage.distance_transform_cdt(code == _FREE, metric="chessboard"),
             _MAX_FOLDS)
 
-    @cached_property
-    def near(self):
-        """Nearest active node (iy, ix) per lattice cell, for projecting
-        stragglers in _resolve_step."""
-        _, (jy, jx) = ndimage.distance_transform_edt(~self.mask,
-                                                     return_indices=True)
-        return jy.astype(np.int32), jx.astype(np.int32)
-
-    def to_frac(self, x, y):
-        return (np.asarray(x, dtype=float) - self.ox) / self.h, \
-               (np.asarray(y, dtype=float) - self.oy) / self.h
-
     def start_table(self, points):
-        """(fx, fy, cx, cy) arrays of shape (S,) for S start points."""
+        """(fx, fy, cx, cy) arrays of shape (S,) for S start points; raises
+        BrownianError unless every point is inside the domain."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        fx, fy = self.to_frac(pts[:, 0], pts[:, 1])
+        fx, fy = ((pts - self.origin) / self.h).T
         cx, cy, inside = active_cell(self.mask, self.origin, self.h,
                                      pts[:, 0], pts[:, 1])
         if not inside.all():
@@ -233,21 +223,25 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
     """Walk each proposed position to its resolved state.
 
     fx, fy hold the proposals (fractional lattice units); cx, cy the cell
-    each path occupied before the step (active).  Mutates all four in
-    place plus `alive` for ghost-line kills; returns a boolean array
-    marking paths killed during resolution, and the number of stragglers,
-    paths still unsettled after _MAX_FOLDS passes and projected to the
-    nearest active node.
+    each path occupied before the step (active).  A path walks through open
+    cells as far as it has to, folds about Neumann wall lines and dies
+    beyond Dirichlet ghost lines.  One still moving after _MAX_FOLDS folds
+    is a straggler: it settles on the node of the cell it has reached,
+    which is active and was reached without crossing a wall.  Mutates all
+    four in place plus `alive` for ghost-line kills; returns a boolean
+    array marking paths killed during resolution, and the number of
+    stragglers.
     """
     code, nx = kern.code, kern.nx
     killed = np.zeros(fx.shape, dtype=bool)
+    folds = np.zeros(fx.shape, dtype=np.int64)
     todo = alive.copy()
-    for _ in range(_MAX_FOLDS):
-        if not todo.any():
-            break
+    stragglers = 0
+    while todo.any():
         j = np.nonzero(todo)[0]
         jcx, jcy = cx[j], cy[j]
         jfx, jfy = fx[j], fy[j]
+        jfolds = folds[j]
         acted = np.zeros(j.size, dtype=bool)
 
         for axis in (0, 1):  # x first: the documented tie-break
@@ -270,34 +264,25 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
                     kj = j[kill]
                     killed[kj] = True
                     alive[kj] = False
-                    todo[kj] = False
                     acted |= kill
                 if fold.any():
                     f[fold] = 2.0 * c[fold] - f[fold]
+                    jfolds += fold
                     acted |= fold
                 if walk.any():
                     c[walk] += int(sgn)
                     acted |= walk
                 d = f - c
 
-        live = ~killed[j]
+        moving = acted & ~killed[j]
+        out = moving & (jfolds >= _MAX_FOLDS)
+        jfx[out], jfy[out] = jcx[out], jcy[out]
+        stragglers += int(out.sum())
         fx[j], fy[j] = jfx, jfy
         cx[j], cy[j] = jcx, jcy
-        settled = live & ~acted
-        todo[j[settled]] = False
-
-    # stragglers (pathological folds): project to the nearest active node
-    if todo.any():
-        k = np.nonzero(todo)[0]
-        gy = np.clip(np.rint(fy[k]).astype(np.int64), 0, kern.ny - 1)
-        gx = np.clip(np.rint(fx[k]).astype(np.int64), 0, kern.nx - 1)
-        near_iy, near_ix = kern.near
-        ny_, nx_ = near_iy[gy, gx], near_ix[gy, gx]
-        fx[k] = nx_
-        fy[k] = ny_
-        cx[k] = nx_
-        cy[k] = ny_
-    return killed, int(todo.sum())
+        folds[j] = jfolds
+        todo[j[~moving | out]] = False
+    return killed, stragglers
 
 
 def _free_step(fx, fy, cx, cy, margin):
@@ -307,10 +292,10 @@ def _free_step(fx, fy, cx, cy, margin):
     Along each axis _resolve_step walks while |f - c| > 1/2, through open
     cells ending at floor(f - 1/2) + 1 (f - 1/2 is exact for f >= 1/4, and
     every cell within reach of a free cell has index >= 1).  If every cell
-    on the way is free, that is all it does, settling within _MAX_FOLDS
-    passes and leaving the position alone; a destination closer than the
-    start cell's margin (capped at _MAX_FOLDS) guarantees it.  Ties, with
-    f - 1/2 integral, stay on the start cell's side and are left out.
+    on the way is free, that is all it does: it never folds, and it leaves
+    the position alone.  A destination closer than the start cell's margin
+    guarantees that.  Ties, with f - 1/2 integral, stay on the start
+    cell's side and are left out.
     """
     gx, gy = fx - 0.5, fy - 0.5
     tx, ty = np.floor(gx), np.floor(gy)
@@ -328,7 +313,7 @@ class _Walk:
     surv: np.ndarray      # (checkpoints, starts) live-path counts
     fk_sum: float
     fk_sumsq: float
-    stragglers: int       # projections in _resolve_step
+    stragglers: int       # path-steps _resolve_step settled on their cell
 
 
 def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
@@ -422,16 +407,16 @@ def _bilinear(kern: _Kernel, grid, fx, fy):
             + (1 - tx) * ty * g[y0 + 1, x0] + tx * ty * g[y0 + 1, x0 + 1])
 
 
-def _walk(kern: _Kernel, cfg: PathConfig, points, n_steps: int, dt: float,
+def _walk(kern: _Kernel, cfg: PathConfig, starts, n_steps: int, dt: float,
           threads: int = 1, **kw) -> _Walk:
-    """Walk cfg.n_paths paths from each start point in BATCH_PATHS batches.
+    """Walk cfg.n_paths paths from each start of a start table
+    (_Kernel.start_table) in BATCH_PATHS batches.
 
     The layout is start-major, path = start * cfg.n_paths + j.  Batches are
-    keyed by (seed, batch) and reduced in batch order.  The straggler
-    projections summed over the batches, the same at any worker count,
-    are logged at DEBUG to the "eigenwalk" logger.
+    keyed by (seed, batch) and reduced in batch order.  The stragglers
+    summed over the batches, the same at any worker count, are logged at
+    DEBUG to the "eigenwalk" logger.
     """
-    starts = kern.start_table(points)
     n_total = cfg.n_paths * starts[0].size
     los = range(0, n_total, BATCH_PATHS)
 
@@ -447,15 +432,18 @@ def _walk(kern: _Kernel, cfg: PathConfig, points, n_steps: int, dt: float,
                  fk_sumsq=sum(p.fk_sumsq for p in parts),
                  stragglers=sum(p.stragglers for p in parts))
     _log.debug("lattice walk: %d paths from %d starts, %d steps of "
-               "dt=%.3g, %d straggler projections", n_total, starts[0].size,
-               n_steps, dt, walk.stragglers)
+               "dt=%.3g, %d stragglers settled on their cell", n_total,
+               starts[0].size, n_steps, dt, walk.stragglers)
     return walk
 
 
-def _bias_note(kern: _Kernel, dt: float) -> str:
-    return (f"Euler absorption bias O(sqrt(dt)): sqrt(2*dt)="
-            f"{math.sqrt(2 * dt):.3e}; lattice wall placement within "
-            f"h/2={kern.h / 2:.3e}")
+def _bias_note(kern: _Kernel, dt: float, walk: _Walk) -> str:
+    note = (f"Euler absorption bias O(sqrt(dt)): sqrt(2*dt)="
+            f"{math.sqrt(2 * dt):.3e}")
+    if walk.stragglers:
+        note += (f"; {walk.stragglers} path-steps settled on their cell "
+                 f"after {_MAX_FOLDS} folds")
+    return note + f"; lattice wall placement within h/2={kern.h / 2:.3e}"
 
 
 def _mean_stderr(total, total_sq, n):
@@ -465,13 +453,12 @@ def _mean_stderr(total, total_sq, n):
 
 
 def _start_point(kern: _Kernel, x):
-    """The start x as a float pair; raises BrownianError unless it is one
-    point inside the domain."""
+    """The start table of x; raises BrownianError unless x is one point
+    inside the domain."""
     pt = np.asarray(x, dtype=float)
     if pt.shape != (2,):
         raise BrownianError("start must be a single (x, y) point")
-    kern.start_table([pt])
-    return float(pt[0]), float(pt[1])
+    return kern.start_table(pt)
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +474,12 @@ def survival_probability(dom: GridDomain, x, t: float, cfg: PathConfig,
         return PathEstimate(mean=1.0, stderr=0.0, n_paths=cfg.n_paths,
                             seed=cfg.seed, bias_note="t=0: survival is 1")
     n_steps, dt = cfg.resolve_steps(kern.h, horizon=t)
-    walk = _walk(kern, cfg, [start], n_steps, dt, threads,
+    walk = _walk(kern, cfg, start, n_steps, dt, threads,
                  checkpoints=[n_steps])
     alive = walk.surv[0, 0]
     mean, stderr = _mean_stderr(alive, alive, cfg.n_paths)
     return PathEstimate(mean=mean, stderr=stderr, n_paths=cfg.n_paths,
-                        seed=cfg.seed, bias_note=_bias_note(kern, dt))
+                        seed=cfg.seed, bias_note=_bias_note(kern, dt, walk))
 
 
 def feynman_kac(dom: GridDomain, result: SpectralResult, x, t: float,
@@ -518,44 +505,22 @@ def feynman_kac(dom: GridDomain, result: SpectralResult, x, t: float,
     start = _start_point(kern, x)
     grid = result.eigenfields[mode_index]
     lam = float(result.eigenvalues[mode_index])
-    fx, fy = kern.to_frac([start[0]], [start[1]])
-    phi_x = float(_bilinear(kern, grid, fx, fy)[0])
+    phi_x = float(_bilinear(kern, grid, start[0], start[1])[0])
     if t == 0:
         return FeynmanKacReport(mean=phi_x, stderr=0.0, exact=phi_x,
                                 z_score=0.0, n_paths=cfg.n_paths,
                                 seed=cfg.seed, bias_note="t=0: degenerate")
     n_steps, dt = cfg.resolve_steps(kern.h, horizon=t)
     exact = math.exp(-lam * t) * phi_x
-    walk = _walk(kern, cfg, [start], n_steps, dt, threads, fk_grid=grid)
+    walk = _walk(kern, cfg, start, n_steps, dt, threads, fk_grid=grid)
     mean, stderr = _mean_stderr(walk.fk_sum, walk.fk_sumsq, cfg.n_paths)
     z = (mean - exact) / stderr if stderr > 0 else 0.0
     readout = -(kern.h ** 2 / 12) * lam * exact
     return FeynmanKacReport(mean=mean, stderr=stderr, exact=exact, z_score=z,
                             n_paths=cfg.n_paths, seed=cfg.seed,
-                            bias_note=_bias_note(kern, dt)
+                            bias_note=_bias_note(kern, dt, walk)
                             + f"; bilinear phi readout -(h^2/12)*lam*exact="
                             f"{readout:.3e}")
-
-
-def reflect_step(pos, proposed, dom: GridDomain):
-    """Resolve one proposed displacement under all-reflecting walls.
-
-    Specular folds about violated wall lines, x before y, at most 8
-    alternations, then projection to the nearest active node center.
-    Deterministic; a proposal already inside comes back unchanged.  Raises
-    BrownianError for a pos outside the domain or a non-finite proposal.
-    """
-    if not np.isfinite(np.asarray(proposed, dtype=float)).all():
-        raise BrownianError(f"proposal {tuple(proposed)!r} is not finite")
-    kern = _Kernel(dom, "neumann")
-    cx, cy, inside = active_cell(kern.mask, kern.origin, kern.h,
-                                 [pos[0]], [pos[1]])
-    if not inside[0]:
-        raise BrownianError("pos is outside the domain")
-    fx, fy = kern.to_frac([proposed[0]], [proposed[1]])
-    _resolve_step(kern, fx, fy, cx, cy, np.ones(1, dtype=bool))
-    return (kern.ox + float(fx[0]) * kern.h,
-            kern.oy + float(fy[0]) * kern.h)
 
 
 def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
@@ -595,8 +560,8 @@ def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
     pick = (iy % stride == 0) & (ix % stride == 0)
     xs, ys = dom.node_xy(iy[pick], ix[pick])
 
-    walk = _walk(kern, cfg, np.column_stack([xs, ys]), n_steps, dt, threads,
-                 checkpoints=steps)
+    walk = _walk(kern, cfg, kern.start_table(np.column_stack([xs, ys])),
+                 n_steps, dt, threads, checkpoints=steps)
     frac = walk.surv / cfg.n_paths  # (checkpoints, starts)
     counts = frac.sum(axis=1)
     csq = (frac * (1 - frac)).sum(axis=1) / max(1, cfg.n_paths - 1)
@@ -624,5 +589,5 @@ def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
                             t_grid=tuple(float(x) for x in times),
                             survival=tuple(float(x) for x in S),
                             seed=cfg.seed,
-                            bias_note=_bias_note(kern, dt)
+                            bias_note=_bias_note(kern, dt, walk)
                             + f"; {len(xs)} start nodes")

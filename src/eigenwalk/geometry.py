@@ -138,14 +138,12 @@ class GridDomain:
 
     def __init__(self, name: str, h: float, origin: tuple[float, float],
                  mask: np.ndarray, labels,
-                 regions: dict[str, np.ndarray] | None = None,
-                 spec: DomainSpec | None = None):
+                 regions: dict[str, np.ndarray] | None = None):
         self.name = name
         self.h = float(h)
         self.origin = (float(origin[0]), float(origin[1]))
         self.mask = mask.astype(bool)
         self.mask.setflags(write=False)
-        self.spec = spec
         self.regions = {}
         for key, sub in (regions or {}).items():
             sub = sub & self.mask
@@ -577,7 +575,7 @@ def build_domain(spec: DomainSpec) -> GridDomain:
                           "rectangle family (named sides)")
     h, origin, mask, labels, regions = _FAMILIES[spec.family](spec)
     name = spec.name or spec.family
-    return GridDomain(name, h, origin, mask, labels, regions, spec=spec)
+    return GridDomain(name, h, origin, mask, labels, regions)
 
 
 # ---------------------------------------------------------------------------

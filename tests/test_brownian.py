@@ -1,4 +1,4 @@
-"""Lattice walker: fixed-seed pins, fast-path equivalence, reflection
+"""Lattice walker: fixed-seed pins, fast-path equivalence, step-resolver
 invariants, and estimator checks against spectral and closed-form values.
 
 The pins were recorded from the per-path reference walker (every path
@@ -167,10 +167,12 @@ def test_start_major_layout(doms):
     assert set(np.unique(per_path)) == {0.0, 1.0}
     assert (np.diff(per_path, axis=0) <= 0).all()
     cfg = B.PathConfig(t_max=0.05, n_paths=900, dt=0.0025, seed=5)
-    whole = B._walk(kern, cfg, [start], 20, 0.0025, checkpoints=every)
+    whole = B._walk(kern, cfg, kern.start_table([start]), 20, 0.0025,
+                    checkpoints=every)
     assert np.array_equal(whole.surv[:, 0], per_path.sum(axis=1))
     cfg = B.PathConfig(t_max=0.05, n_paths=300, dt=0.0025, seed=5)
-    split = B._walk(kern, cfg, [start] * 3, 20, 0.0025, checkpoints=every)
+    split = B._walk(kern, cfg, kern.start_table([start] * 3), 20, 0.0025,
+                    checkpoints=every)
     blocks = per_path.reshape(20, 3, 300).sum(axis=2)
     assert np.array_equal(split.surv, blocks)
     assert 0 < blocks[-1].sum() < 900
@@ -205,6 +207,21 @@ def test_free_step_matches_resolve_step(doms):
     assert np.array_equal(ry[fast], fy[fast])
 
 
+@contextlib.contextmanager
+def within(seconds):
+    """Fail the block with TimeoutError unless it returns in time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def _stragglers(caplog):
     """Straggler counts of the lattice walks logged since the last clear."""
     return [int(r.getMessage().split(", ")[-1].split()[0])
@@ -214,30 +231,87 @@ def _stragglers(caplog):
 
 def test_straggler_projections_counted(doms, caplog):
     """Steps of about five cells (dt = 0.05 at h = 1/16) in the 1 x 0.75
-    Neumann box leave paths unsettled after _MAX_FOLDS passes; the walk
-    logs how many it projected, summed over its two batches, the same at
-    1 and 2 workers.  A pinned walk of short steps projects none."""
-    cfg = B.PathConfig(t_max=0.5, n_paths=N_PINNED, dt=0.05, seed=3)
-    counts, means = [], []
+    Neumann box walk as far as they must and settle without running out
+    of folds, as does a pinned walk of short steps.  Steps of 16 cells rms
+    (dt = 0.5) from the neck of a Neumann dumbbell, whose neck is 5 nodes
+    wide, run out: the walk settles those path-steps on their cell, logs
+    how many, summed over its two batches, and states it in the bias
+    note, the same at 1 and 2 workers.  Single steps that run out of folds
+    settle on the node of the cell they reached."""
+    dumbbell = build_domain(DomainSpec(
+        "dumbbell", {"neck_width": 0.25, "neck_length": 0.5}, 40, "neumann"))
+    counts, means, notes = [], [], []
     with caplog.at_level(logging.DEBUG, logger="eigenwalk"):
-        for threads in (1, 2):
-            caplog.clear()
-            est = B.survival_probability(doms["neumann"], (0.5, 0.4), 0.5,
-                                         cfg, threads=threads)
-            counts += _stragglers(caplog)
-            means.append(est.mean)
+        for dom, x, t, dt in ((doms["neumann"], (0.5, 0.4), 0.5, 0.05),
+                              (dumbbell, (1.25, 0.5), 5.0, 0.5)):
+            cfg = B.PathConfig(t_max=t, n_paths=N_PINNED, dt=dt, seed=3)
+            for threads in (1, 2):
+                caplog.clear()
+                est = B.survival_probability(dom, x, t, cfg, threads=threads)
+                counts += _stragglers(caplog)
+                means.append(est.mean)
+                notes.append(est.bias_note)
         caplog.clear()
         cfg = B.PathConfig(t_max=0.02, n_paths=N_PINNED, dt=0.001, seed=3)
         B.survival_probability(doms["square"], (0.3, 0.45), 0.02, cfg)
         pinned = _stragglers(caplog)
-    assert len(counts) == 2 and counts[0] == counts[1] > 1000
-    assert means == [1.0, 1.0]
-    assert pinned == [0]
-    fx, fy = np.array([8.0 + 12.5]), np.array([6.0])
-    cx, cy = np.array([8]), np.array([6])
-    _, lost = B._resolve_step(B._Kernel(doms["neumann"], "neumann"),
-                              fx, fy, cx, cy, np.ones(1, dtype=bool))
-    assert lost == 1 and doms["neumann"].mask[int(fy[0]), int(fx[0])]
+    assert counts[:2] == [0, 0] and pinned == [0]
+    assert "settled" not in notes[0]
+    assert counts[2] == counts[3] > 0
+    assert notes[2] == notes[3]
+    assert f"; {counts[2]} path-steps settled on their cell after 8 folds; " \
+        in notes[2]
+    assert notes[2].startswith("Euler absorption bias")
+    assert means == [1.0] * 4
+
+    # single steps of 8 cells rms from the nodes of the r = 40 dumbbell
+    # (3-node neck) under reflecting walls: 42 of 20000 run out of folds,
+    # and those, and only those, end on the node of the cell they reached
+    dom = doms["dumbbell"]
+    kern = B._Kernel(dom, "neumann")
+    rng = np.random.default_rng(5)
+    iy, ix = np.nonzero(dom.mask)
+    k = rng.integers(0, iy.size, 20000)
+    cy, cx = iy[k].astype(np.int64), ix[k].astype(np.int64)
+    fx, fy = (c + 8.0 * rng.standard_normal(k.size) for c in (cx, cy))
+    killed, lost = B._resolve_step(kern, fx, fy, cx, cy,
+                                   np.ones(k.size, dtype=bool))
+    on_node = (fx == cx) & (fy == cy)
+    assert not killed.any() and dom.mask[cy, cx].all()
+    assert 0 < lost == on_node.sum() < 100
+
+
+def test_no_step_jumps_a_wall():
+    """A U of two 3-node arms with 6 empty columns between them, joined by
+    a bar at the bottom, under reflecting walls.  Paths start in the upper
+    half of the left arm with proposals 4 cells rms; none reaches the
+    right arm unless its proposal reaches the bar's rows."""
+    rows = ["111" + "0" * 6 + "111"] * 40 + ["1" * 12] * 3
+    dom = build_domain(DomainSpec("custom_mask", {"rows": rows}, 16,
+                                  "neumann"))
+    kern = B._Kernel(dom, "neumann")
+    rng = np.random.default_rng(11)
+    n = 200000
+    cx, cy = rng.integers(0, 3, n), rng.integers(23, 43, n)
+    fx, fy = (c + 4.0 * rng.standard_normal(n) for c in (cx, cy))
+    near_bar = np.abs(fy - cy) > cy - 2.5  # bar rows are y = 0, 1, 2
+    killed, _ = B._resolve_step(kern, fx, fy, cx, cy, np.ones(n, dtype=bool))
+    assert not killed.any() and dom.mask[cy, cx].all()
+    assert (cx <= 2)[~near_bar].all()
+    assert (fx <= 2.0)[~near_bar].all()
+
+
+def test_long_open_step_lands_on_proposal():
+    """A proposal more than 100 cells across an open Neumann box walks
+    there cell by cell and lands exactly on the proposal."""
+    kern = B._Kernel(rect(1.0, 1.0, 256, "neumann"), "neumann")
+    fx, fy = np.array([150.3]), np.array([160.6])
+    cx, cy = np.array([20]), np.array([20])
+    with within(10):
+        killed, lost = B._resolve_step(kern, fx, fy, cx, cy,
+                                       np.ones(1, dtype=bool))
+    assert lost == 0 and not killed.any()
+    assert (fx[0], fy[0], cx[0], cy[0]) == (150.3, 160.6, 150, 161)
 
 
 @pytest.mark.parametrize("key", ["dumbbell", "square"])
@@ -253,61 +327,58 @@ def test_margin_cells_are_free(doms, key):
     assert 1 <= kern.margin.max() <= B._MAX_FOLDS
 
 
+def resolve(kern, pos, prop):
+    """_resolve_step on physical coordinates: paths in the cells of the
+    points pos propose the points prop, both (n, 2); the resolved points
+    and the number of stragglers."""
+    _, _, cx, cy = kern.start_table(pos)
+    fx, fy = ((np.asarray(prop, dtype=float) - kern.origin) / kern.h).T.copy()
+    _, lost = B._resolve_step(kern, fx, fy, cx, cy,
+                              np.ones(fx.size, dtype=bool))
+    return np.column_stack([kern.origin[0] + fx * kern.h,
+                            kern.origin[1] + fy * kern.h]), lost
+
+
 class TestReflectStep:
+    """Single steps under reflecting walls, through _resolve_step with a
+    Neumann kernel on the r = 40 dumbbell."""
+
     @pytest.fixture(scope="class")
     def cases(self, doms):
-        """Proposals 1.5 cells rms from active nodes.  Much longer ones can
-        run out of _MAX_FOLDS passes and be projected to a node, and the
-        pass count depends on the order + before - within an axis, so
-        mirror symmetry only holds below that (at 2.5 cells rms about 1%
-        of mirrored pairs differ)."""
+        """Proposals 1.5 cells rms from active nodes.  Mirror symmetry
+        holds only up to the order + before - within an axis and the fold
+        cap: at 2.5 cells rms, 3 of 20000 mirrored pairs differ."""
         dom = doms["dumbbell"]
         rng = np.random.default_rng(7)
         iy, ix = np.nonzero(dom.mask)
         k = rng.integers(0, iy.size, 200)
         pos = np.column_stack(dom.node_xy(iy[k], ix[k]))
         prop = pos + rng.normal(0.0, 1.5 * dom.h, pos.shape)
-        return dom, pos, prop
+        return dom, B._Kernel(dom, "neumann"), pos, prop
 
-    def test_inside_proposal_unchanged(self, doms):
-        dom = doms["dumbbell"]
-        for pos, prop in (((0.5, 0.5), (0.52, 0.47)),
-                          ((0.3, 0.8), (0.22, 0.9)),
-                          ((1.2, 0.5), (1.3, 0.55))):
-            assert B.reflect_step(pos, prop, dom) == prop
+    def test_inside_proposal_unchanged(self, cases):
+        _, kern, _, _ = cases
+        pos = [(0.5, 0.5), (0.3, 0.8), (1.2, 0.5)]
+        prop = [(0.52, 0.47), (0.22, 0.9), (1.3, 0.55)]
+        out, lost = resolve(kern, pos, prop)
+        assert out.tolist() == [list(p) for p in prop] and lost == 0
 
     def test_output_inside(self, cases):
-        dom, pos, prop = cases
-        out = np.array([B.reflect_step(p, q, dom) for p, q in zip(pos, prop)])
+        dom, kern, pos, prop = cases
+        out, _ = resolve(kern, pos, prop)
         assert dom.contains(out[:, 0], out[:, 1]).all()
 
     def test_mirror_symmetric(self, cases):
-        dom, pos, prop = cases
-        x1, y1 = dom.bbox[2], dom.bbox[3]  # the dumbbell is symmetric
-        for p, q in zip(pos, prop):     # about x = x1/2 and y = y1/2
-            out = B.reflect_step(p, q, dom)
-            mx = B.reflect_step((x1 - p[0], p[1]), (x1 - q[0], q[1]), dom)
-            my = B.reflect_step((p[0], y1 - p[1]), (q[0], y1 - q[1]), dom)
-            assert mx == pytest.approx((x1 - out[0], out[1]), abs=1e-12)
-            assert my == pytest.approx((out[0], y1 - out[1]), abs=1e-12)
-
-    def test_outside_pos_rejected(self, doms):
-        with pytest.raises(B.BrownianError):
-            B.reflect_step((1.25, 0.05), (1.25, 0.1), doms["dumbbell"])
-
-    def test_pos_beyond_grid_rejected(self, doms):
-        """The Neumann rectangle's edge columns are active: a position
-        beyond them is outside, not clipped onto them."""
-        for pos in ((-3.0, 0.3), (0.5, 9.0), (math.nan, 0.3)):
-            with pytest.raises(B.BrownianError):
-                B.reflect_step(pos, (0.5, 0.3), doms["neumann"])
-
-    @pytest.mark.parametrize("prop", [(math.nan, 0.3), (math.inf, 0.3),
-                                      (0.5, -math.inf)])
-    def test_non_finite_proposal_rejected(self, doms, prop):
-        """Neither passed through (nan) nor projected onto a node (inf)."""
-        with pytest.raises(B.BrownianError, match="not finite"):
-            B.reflect_step((0.5, 0.3), prop, doms["neumann"])
+        dom, kern, pos, prop = cases
+        out, _ = resolve(kern, pos, prop)
+        # the dumbbell is symmetric about x = x1/2 and y = y1/2
+        for axis, end in ((0, dom.bbox[2]), (1, dom.bbox[3])):
+            mpos, mprop = pos.copy(), prop.copy()
+            mpos[:, axis] = end - pos[:, axis]
+            mprop[:, axis] = end - prop[:, axis]
+            mirrored, _ = resolve(kern, mpos, mprop)
+            mirrored[:, axis] = end - mirrored[:, axis]
+            np.testing.assert_allclose(mirrored, out, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("x", [(-0.2, 0.3), (5.0, 5.0), (math.inf, 0.3),
@@ -342,14 +413,6 @@ def test_start_checked_at_time_zero(doms):
     assert fk.mean == fk.exact and fk.stderr == 0.0
 
 
-def test_kernel_near_is_lazy():
-    """Only stragglers read the nearest-node table, so a kernel builds it
-    on first use and keeps it."""
-    neumann = B._Kernel(rect(1.0, 1.0, 16, "dirichlet"), "neumann")
-    assert "near" not in vars(neumann)
-    assert neumann.near is neumann.near
-
-
 def test_decay_lambda_matches_closed_form(doms):
     """Mixed 2 x 1 rectangle, Dirichlet left and right: the lattice
     lambda_1 is that of a chain of nx - 2 nodes, 4/h^2 sin^2(pi h / 4).
@@ -362,21 +425,6 @@ def test_decay_lambda_matches_closed_form(doms):
     assert rep.bias_note.endswith("; 35 start nodes")
     assert abs(rep.lambda_hat - lam1) <= 4.5 * rep.stderr
     assert 0.03 < rep.stderr < 0.1
-
-
-@contextlib.contextmanager
-def within(seconds):
-    """Fail the block with TimeoutError unless it returns in time."""
-    def expire(signum, frame):
-        raise TimeoutError(f"did not return within {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.mark.parametrize("max_starts", [0, -1])
