@@ -10,14 +10,18 @@ kill; ``GridDomain.code`` gives it under a forced condition.  Everything
 downstream (Laplacian assembly, Brownian collision tests, distances)
 measures against this one polygon.
 
-Active-node rule: for a Dirichlet side the lattice nodes lying on the ideal
-shape's boundary are excluded (their value is pinned to zero and eliminated),
-while for a Neumann side they are included and receive fractional cell masses.
-Discrete eigenvalues of the reflecting Laplacian then converge at O(h^2) on
-lattice-aligned Neumann sides, but only at first order on curved ones, where
-the staircase stays: mu_2 of the unit Neumann disk is +4.25% above
-(j'_{1,1})^2 at resolution 64 and +2.07% at 128.  A boundary node that would
-hold no cell mass at all is left out.
+Active-node rule (``_raster``, for every family drawn from a closed shape):
+a node is probed at itself and at 8 points 1e-9*h away along the axes and
+diagonals.  Under Dirichlet walls it is active when all 9 probes lie in the
+closed shape, so boundary nodes are excluded (pinned to zero and
+eliminated); under Neumann walls when any probe does, so they are included
+with fractional cell masses, less those that would hold no quarter cell.
+The rounding of lattice coordinates decides nothing.  The rectangle applies
+the rule side by side, as its sides carry their own labels; custom masks
+are taken as given.  Discrete eigenvalues of the reflecting Laplacian
+converge at O(h^2) on lattice-aligned Neumann sides, but only at first
+order on curved ones: mu_2 of the unit Neumann disk is +4.25% above
+(j'_{1,1})^2 at resolution 64 and +2.07% at 128.
 
 Parametric families: rectangle, disk, dumbbell (two lobes joined by a
 centered neck), octopus (disk body with protruding rectangular tentacles),
@@ -29,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -67,6 +72,7 @@ class DomainSpec:
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown family {self.family!r}; "
                               f"have {sorted(_FAMILIES)}")
+        _integer("resolution", self.resolution)
         if self.resolution < 16:
             raise DomainError("resolution must be >= 16")
         if self.bc_default not in _BC_NAMES:
@@ -92,7 +98,7 @@ class DomainSpec:
         return DomainSpec(
             family=doc["family"],
             params=doc.get("params", {}),
-            resolution=int(doc.get("resolution", 128)),
+            resolution=doc.get("resolution", 128),
             bc_default=doc.get("bc_default", "dirichlet"),
             bc_overrides=doc.get("bc_overrides", {}),
             name=doc.get("name", ""),
@@ -328,7 +334,9 @@ def _masses(quarters: dict, h: float) -> np.ndarray:
 def _drop_massless(mask: np.ndarray) -> np.ndarray:
     """The mask less the nodes that would hold no quarter cell under
     Neumann walls, those with no active neighbor along one axis: on a
-    closed disk, (+-r, 0) and (0, +-r) when they are lattice nodes."""
+    closed disk, (+-r, 0) and (0, +-r) when they are lattice nodes; on an
+    octopus also such nodes of its body arcs and corners of slanted arm
+    tips.  One pass leaves no such node on any family's mask."""
     quarters = _quarter_presence(mask, wall_code(mask, NEUMANN))
     return mask & (_masses(quarters, 1.0) > 0)
 
@@ -348,26 +356,40 @@ def _lattice(width: float, height: float, resolution: int,
     return h, *np.meshgrid(x, y)  # X, Y shaped (ny, nx)
 
 
-def _probe_interior(closed, X, Y, h):
-    """Interior test for a closed-containment predicate: a point is interior
-    when the predicate holds at the point and at 8 probes a tiny step away
-    (axis and diagonal; diagonals catch re-entrant corners).  Exact for
-    boundaries made of lines and circles once h >> delta."""
+def _raster(closed, X, Y, h: float, bc: int) -> np.ndarray:
+    """The active-node rule (see the module docstring) for the closed shape
+    ``closed(X, Y)``: under Dirichlet walls all 9 probes of a node lie in
+    it, under Neumann walls any one does and the node holds a quarter cell.
+    The diagonal probes catch re-entrant corners."""
     delta = 1e-9 * h
+    fold = np.logical_and if bc == DIRICHLET else np.logical_or
     out = closed(X, Y)
     for dx in (-delta, 0.0, delta):
         for dy in (-delta, 0.0, delta):
             if dx or dy:
-                out &= closed(X + dx, Y + dy)
-    return out
+                fold(out, closed(X + dx, Y + dy), out=out)
+    return out if bc == DIRICHLET else _drop_massless(out)
+
+
+def _params(spec: DomainSpec, **defaults) -> list:
+    """The values of spec.params, falling back to ``defaults`` and in their
+    order; raises DomainError for a key ``defaults`` does not name."""
+    unknown = set(spec.params) - set(defaults)
+    if unknown:
+        raise DomainError(f"{spec.family}: unknown params {sorted(unknown)}")
+    return [spec.params.get(key, val) for key, val in defaults.items()]
+
+
+def _integer(name: str, value) -> int:
+    """value, which must be of an integer type: a float is refused, not
+    truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _build_rectangle(spec: DomainSpec):
-    p = dict(spec.params)
-    w = float(p.pop("width", 1.0))
-    ht = float(p.pop("height", 1.0))
-    if p:
-        raise DomainError(f"rectangle: unknown params {sorted(p)}")
+    w, ht = map(float, _params(spec, width=1.0, height=1.0))
     h, X, Y = _lattice(w, ht, spec.resolution, (0.0, 0.0))
     side_bc = {s: _BC_NAMES[spec.bc_overrides.get(s, spec.bc_default)]
                for s in ("left", "right", "bottom", "top")}
@@ -387,43 +409,30 @@ def _build_rectangle(spec: DomainSpec):
 
 
 def _build_disk(spec: DomainSpec):
-    p = dict(spec.params)
-    r = float(p.pop("radius", 1.0))
-    if p:
-        raise DomainError(f"disk: unknown params {sorted(p)}")
+    r, = map(float, _params(spec, radius=1.0))
     h, X, Y = _lattice(2 * r, 2 * r, spec.resolution, (-r, -r))
-    r2 = X * X + Y * Y
     bc = _BC_NAMES[spec.bc_default]
-    mask = r2 < r * r if bc == DIRICHLET else _drop_massless(r2 <= r * r)
+    mask = _raster(lambda X, Y: X * X + Y * Y <= r * r, X, Y, h, bc)
     return h, (-r, -r), mask, bc, {}
 
 
 def _build_annulus(spec: DomainSpec):
-    p = dict(spec.params)
-    ro = float(p.pop("outer_radius", 1.0))
-    ri = float(p.pop("inner_radius", 0.5))
-    if p:
-        raise DomainError(f"annulus: unknown params {sorted(p)}")
+    ro, ri = map(float, _params(spec, outer_radius=1.0, inner_radius=0.5))
     if ri >= ro:
         raise DomainError("annulus needs inner_radius < outer_radius")
+
+    def closed(X, Y):
+        r2 = X * X + Y * Y
+        return (r2 >= ri * ri) & (r2 <= ro * ro)
+
     h, X, Y = _lattice(2 * ro, 2 * ro, spec.resolution, (-ro, -ro))
-    r2 = X * X + Y * Y
     bc = _BC_NAMES[spec.bc_default]
-    if bc == DIRICHLET:
-        mask = (r2 > ri * ri) & (r2 < ro * ro)
-    else:
-        mask = _drop_massless((r2 >= ri * ri) & (r2 <= ro * ro))
-    return h, (-ro, -ro), mask, bc, {}
+    return h, (-ro, -ro), _raster(closed, X, Y, h, bc), bc, {}
 
 
 def _build_dumbbell(spec: DomainSpec):
-    p = dict(spec.params)
-    lw = float(p.pop("lobe_width", 1.0))
-    lh = float(p.pop("lobe_height", 1.0))
-    nw = float(p.pop("neck_width", 0.1))
-    nl = float(p.pop("neck_length", 0.5))
-    if p:
-        raise DomainError(f"dumbbell: unknown params {sorted(p)}")
+    lw, lh, nw, nl = map(float, _params(spec, lobe_width=1.0, lobe_height=1.0,
+                                        neck_width=0.1, neck_length=0.5))
     if nw >= lh:
         raise DomainError("dumbbell needs neck_width < lobe_height")
     width = 2 * lw + nl
@@ -443,7 +452,7 @@ def _build_dumbbell(spec: DomainSpec):
             f"dumbbell neck resolves to {nw / h:.1f} < 4 nodes across; "
             "raise resolution or widen the neck")
     bc = _BC_NAMES[spec.bc_default]
-    mask = closed(X, Y) if bc == NEUMANN else _probe_interior(closed, X, Y, h)
+    mask = _raster(closed, X, Y, h, bc)
     regions = {
         "left_lobe": mask & (X <= x_l),
         "neck": mask & (X > x_l) & (X < x_r),
@@ -453,13 +462,10 @@ def _build_dumbbell(spec: DomainSpec):
 
 
 def _build_octopus(spec: DomainSpec):
-    p = dict(spec.params)
-    rb = float(p.pop("body_radius", 1.0))
-    tw = float(p.pop("tentacle_width", 0.2))
-    tl = float(p.pop("tentacle_length", 1.0))
-    tc = int(p.pop("tentacle_count", 4))
-    if p:
-        raise DomainError(f"octopus: unknown params {sorted(p)}")
+    *lengths, tc = _params(spec, body_radius=1.0, tentacle_width=0.2,
+                           tentacle_length=1.0, tentacle_count=4)
+    rb, tw, tl = map(float, lengths)
+    tc = _integer("tentacle_count", tc)
     if tw >= rb:
         raise DomainError("octopus needs tentacle_width < body_radius")
     if tc < 1:
@@ -478,14 +484,10 @@ def _build_octopus(spec: DomainSpec):
             out |= tentacle_closed(X, Y, th)
         return out
 
-    xs = [-rb, rb]
-    ys = [-rb, rb]
-    for th in angles:
-        tip = np.array([math.cos(th), math.sin(th)]) * reach
-        perp = np.array([-math.sin(th), math.cos(th)]) * (tw / 2.0)
-        for corner in (tip + perp, tip - perp):
-            xs.append(corner[0])
-            ys.append(corner[1])
+    xs, ys = [-rb, rb], [-rb, rb]
+    for th, side in itertools.product(angles, (0.5, -0.5)):  # tip corners
+        xs.append(math.cos(th) * reach - math.sin(th) * side * tw)
+        ys.append(math.sin(th) * reach + math.cos(th) * side * tw)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     h, X, Y = _lattice(x1 - x0, y1 - y0, spec.resolution, (x0, y0))
@@ -494,7 +496,7 @@ def _build_octopus(spec: DomainSpec):
             f"octopus tentacle resolves to {tw / h:.1f} < 4 nodes across; "
             "raise resolution or widen the tentacle")
     bc = _BC_NAMES[spec.bc_default]
-    mask = closed(X, Y) if bc == NEUMANN else _probe_interior(closed, X, Y, h)
+    mask = _raster(closed, X, Y, h, bc)
     body = X * X + Y * Y <= rb * rb
     regions = {"body": mask & body}
     for k, th in enumerate(angles):
@@ -503,13 +505,11 @@ def _build_octopus(spec: DomainSpec):
 
 
 def _build_l_shape(spec: DomainSpec):
-    p = dict(spec.params)
-    w = float(p.pop("width", 1.0))
-    ht = float(p.pop("height", 1.0))
-    nw = float(p.pop("notch_width", w / 2.0))
-    nh = float(p.pop("notch_height", ht / 2.0))
-    if p:
-        raise DomainError(f"l_shape: unknown params {sorted(p)}")
+    w, ht, nw, nh = _params(spec, width=1.0, height=1.0, notch_width=None,
+                            notch_height=None)
+    w, ht = float(w), float(ht)
+    nw = w / 2.0 if nw is None else float(nw)
+    nh = ht / 2.0 if nh is None else float(nh)
     if nw >= w or nh >= ht:
         raise DomainError("l_shape notch must be smaller than the rectangle")
 
@@ -520,27 +520,11 @@ def _build_l_shape(spec: DomainSpec):
 
     h, X, Y = _lattice(w, ht, spec.resolution, (0.0, 0.0))
     bc = _BC_NAMES[spec.bc_default]
-    if bc == NEUMANN:
-        # closure of the open L: keep nodes on the notch edges
-        def closed_n(X, Y):
-            rect = (X >= 0) & (X <= w) & (Y >= 0) & (Y <= ht)
-            notch = (X >= w - nw) & (Y >= ht - nh)
-            edge = (np.isclose(X, w - nw) & (Y >= ht - nh)) | \
-                   (np.isclose(Y, ht - nh) & (X >= w - nw))
-            return rect & (~notch | edge)
-        mask = closed_n(X, Y)
-    else:
-        mask = _probe_interior(closed, X, Y, h)
-    return h, (0.0, 0.0), mask, bc, {}
+    return h, (0.0, 0.0), _raster(closed, X, Y, h, bc), bc, {}
 
 
 def _build_custom(spec: DomainSpec):
-    p = dict(spec.params)
-    rows = p.pop("rows", None)
-    pgm = p.pop("pgm", None)
-    cell = float(p.pop("cell_size", 1.0 / 64))
-    if p:
-        raise DomainError(f"custom_mask: unknown params {sorted(p)}")
+    rows, pgm, cell = _params(spec, rows=None, pgm=None, cell_size=1.0 / 64)
     if (rows is None) == (pgm is None):
         raise DomainError("custom_mask needs exactly one of 'rows' or 'pgm'")
     if pgm is not None:
@@ -551,7 +535,7 @@ def _build_custom(spec: DomainSpec):
         grid = [[ch in "1#xX" for ch in r] for r in reversed(rows)]
         mask = np.array(grid, dtype=bool)
     bc = _BC_NAMES[spec.bc_default]
-    return cell, (0.0, 0.0), mask, bc, {}
+    return float(cell), (0.0, 0.0), mask, bc, {}
 
 
 _FAMILIES = {

@@ -147,6 +147,57 @@ def test_spec_validation():
         build_domain(DomainSpec(family="nonsense", params={}, resolution=64))
 
 
+def test_tentacle_count_must_be_an_integer():
+    with pytest.raises(DomainError, match="tentacle_count must be an integer"):
+        build_domain(DomainSpec("octopus", {"tentacle_count": 4.5}, 128))
+
+
+def test_resolution_must_be_an_integer():
+    with pytest.raises(DomainError, match="resolution must be an integer"):
+        DomainSpec("rectangle", {}, 64.7)
+
+
+def test_from_json_passes_resolution_through():
+    with pytest.raises(DomainError, match="resolution must be an integer"):
+        DomainSpec.from_json('{"family": "rectangle", "resolution": 64.7}')
+
+
+# the default octopus arm (0.2 wide) resolves from r=100; below, 0.9 wide
+SHAPES = {"disk": ("disk", {}), "annulus": ("annulus", {}),
+          **{f"octopus-{n}": ("octopus", {"tentacle_count": n})
+             for n in (2, 4, 8)}}
+
+
+def shaped(key, res, bc):
+    family, params = SHAPES[key]
+    if family == "octopus" and res < 100:
+        params = {**params, "tentacle_width": 0.9}
+    return build_domain(DomainSpec(family, params, res, bc))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("key", sorted(SHAPES))
+def test_shaped_masks_keep_lattice_mirrors(key, bc):
+    """The shapes are symmetric under both lattice mirrors and, but for the
+    two-armed octopus, the transpose; nodes on their boundary are decided
+    by the active-node rule, not by rounding, so the masks are too."""
+    for res in (20, 50, 100, 150, 200, 300):
+        m = shaped(key, res, bc).mask
+        assert np.array_equal(m, m[:, ::-1]), res
+        assert np.array_equal(m, m[::-1]), res
+        if key != "octopus-2":
+            assert np.array_equal(m, m.T), res
+
+
+@pytest.mark.parametrize("key", sorted(SHAPES))
+def test_drop_massless_is_a_fixpoint(key):
+    """Every Neumann mask above holds a quarter cell at each node, so a
+    second pass drops nothing."""
+    for res in (20, 50, 100, 150, 200, 300):
+        m = shaped(key, res, "neumann").mask
+        assert np.array_equal(geo._drop_massless(m), m), res
+
+
 def test_bc_overrides_only_for_rectangles():
     with pytest.raises((DomainError, ValueError)):
         build_domain(DomainSpec(family="disk", params={"radius": 1.0},

@@ -130,17 +130,24 @@ class TestAssembly:
                            match=r"node \(row 0, column 1\).*no quarter cell"):
             assemble_laplacian(dom, bc)
 
-    @pytest.mark.parametrize("family", ["disk", "annulus"])
-    @pytest.mark.parametrize("res", [32, 64, 128])
-    def test_neumann_circle_assembles_at_even_resolution(self, family, res):
+    @pytest.mark.parametrize("res, family, arms", [
+        pytest.param(res, family, None, id=f"{res}-{family}")
+        for res in (32, 64, 128) for family in ("disk", "annulus")] + [
+        pytest.param(res, "octopus", arms, id=f"{res}-octopus-{arms}")
+        for res in (100, 150) for arms in (1, 2, 5, 7)])
+    def test_neumann_circle_assembles_at_even_resolution(self, res, family,
+                                                         arms):
         """(+-r, 0) and (0, +-r) are then nodes of the closed outer circle
         with no neighbor inside along one axis: they are left out, so every
-        active node holds cell mass."""
-        dom = build_domain(DomainSpec(family, {}, res, "neumann"))
+        active node holds cell mass.  So are such nodes of an octopus's
+        body arcs and the corners of its slanted arm tips."""
+        params = {} if arms is None else {"tentacle_count": arms}
+        dom = build_domain(DomainSpec(family, params, res, "neumann"))
         op = assemble_laplacian(dom, "neumann")
         assert (op.masses > 0).all() and op.n == dom.n_active
-        assert not dom.contains([1.0, -1.0, 0.0, 0.0],
-                                [0.0, 0.0, 1.0, -1.0]).any()
+        if arms is None:
+            assert not dom.contains([1.0, -1.0, 0.0, 0.0],
+                                    [0.0, 0.0, 1.0, -1.0]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +454,13 @@ class TestMirrorSplit:
                                      eigvals_only=True)[:12]
             np.testing.assert_allclose(r.eigenvalues, want, rtol=1e-10,
                                        atol=1e-10)
+
+    def test_dirichlet_disk_takes_x_mirror(self):
+        """At r=150 the circle passes within rounding of lattice nodes; the
+        active-node rule keeps the mask symmetric, so B commutes with the
+        left-right mirror."""
+        dom = build_domain(DomainSpec("disk", {}, 150, "dirichlet"))
+        assert spectral._mirror(assemble_laplacian(dom, "dirichlet"))[0] == "x"
 
     def test_dense_route_logged(self, caplog):
         op = assemble_laplacian(rect(resolution=16), "dirichlet")
