@@ -18,23 +18,31 @@ Carlo and eigensolve answers are comparable without calibration fudges:
   boundary nodes (whose finite-volume cells are half-width).
 
 Each step resolves the proposed displacement by walking the lattice cell
-by cell: cross into an active neighbor and keep going, fold about a
-Neumann wall line (x before y, the documented tie-break), die beyond a
-Dirichlet ghost line.  Walks through open cells are not limited; a path
-still moving after _MAX_FOLDS folds settles on the node of the cell it
-has reached, and the estimate's bias note counts such path-steps.  Most
-paths are far from any wall, and for them the walk only crosses open
-cells: each cell's margin, the chessboard distance to the nearest cell
-that is inactive or lacks an active neighbour, tells when a proposal
-lands in a cell it can reach that way, and such a path moves straight to
-that cell (the free-cell fast path, `_free_step`).  Every other path goes
-through the cell walk.  Between-step absorption is recovered by the
-Brownian bridge correction: a step ending at distances d1, d2 from a kill
-line registers a crossing with probability exp(-d1*d2/dt), evaluated only
-for paths whose cells border a Dirichlet wall.  One uniform per path per
-step is always drawn, whether or not the correction is on, so runs with
-and without it see identical trajectories and the corrected kill set
-contains the uncorrected one path by path.
+by cell, in passes over the directions +x, -x, +y, -y (x before y and +
+before -, the documented tie-break).  A path's offset past its cell's node
+along a direction is compared with one threshold per cell and direction
+(`_Kernel.thr`): past 1/2 toward an active neighbour it walks one cell
+over, past 0 toward a Neumann wall it folds about the node line, past 1
+toward a Dirichlet wall it dies beyond the ghost line.  A path is resolved
+after a pass in which it does nothing.  Walks through open cells are not
+limited; a path still moving after _MAX_FOLDS folds settles on the node
+of the cell it has reached, and the estimate's bias note counts such
+path-steps.  Most paths are far from any wall, and for them the walk only
+crosses free cells (active, with four active neighbours).  Each cell's
+margin, the chessboard distance to the nearest cell that is not free,
+tells when that holds: a path whose destination is free and no farther
+from its start cell than that cell's margin, such as a move of one cell
+between two free cells, moves straight there (the fast path,
+`_free_step`).  Every other path goes through the cell walk, and the
+walk's DEBUG line counts those path-steps.
+
+Between-step absorption is recovered by the Brownian bridge correction: a
+step ending at distances d1, d2 from a kill line registers a crossing with
+probability exp(-d1*d2/dt), evaluated only for paths whose cells border a
+Dirichlet wall.  One uniform per path per step is always drawn, whether or
+not the correction is on, so runs with and without it see identical
+trajectories and the corrected kill set contains the uncorrected one path
+by path.
 
 One walk carries many start points.  Paths are laid out start-major,
 path = start * n_paths + j, and cut into fixed-size batches whose
@@ -79,6 +87,7 @@ BATCH_PATHS = 16384
 _WALK_STREAM = 0x57414C4B  # distinct stream tag; theta's oracle uses its own
 _MAX_FOLDS = 8
 _FREE = 0x0F  # wall code of a cell whose four neighbours are all active
+_DIRS = ((0, 1), (0, -1), (1, 1), (1, -1))  # (axis, sign): +x, -x, +y, -y
 _BRIDGE_CUTOFF = 45.0  # exp(-45) ~ 3e-20: beyond this the bridge cannot fire
 _log = logging.getLogger("eigenwalk")
 
@@ -172,7 +181,14 @@ class MixedDecayReport:
 
 class _Kernel:
     """Immutable per-(domain, bc_mode) tables the step loop reads, built
-    by each estimator call."""
+    by each estimator call.
+
+    `thr` is the one threshold table of the step rule, (4, cells) for the
+    directions +x, -x, +y, -y: the offset past its node a path must exceed
+    before that direction acts.  It is 1/2 toward an open neighbour (walk
+    one cell over), 1 at a Dirichlet wall (die past the ghost line) and 0
+    at a Neumann wall (fold about the node line).
+    """
 
     def __init__(self, dom: GridDomain, bc_mode: str):
         self.h = dom.h
@@ -184,10 +200,12 @@ class _Kernel:
         code = dom.code(bc_mode)
         self.code = code.ravel()
         self.any_dirichlet = bool((code >> 4).any())
+        d = np.arange(4)[:, None]
+        self.thr = 0.5 * ((self.code >> d) & 1) + ((self.code >> (d + 4)) & 1)
         # chessboard distance to the nearest cell that is inactive or lacks
-        # an active neighbour, capped at _MAX_FOLDS: a step to a cell closer
-        # than this crosses only free cells (see _free_step); longer steps
-        # take the cell walk, which ends in the same place
+        # an active neighbour, capped at _MAX_FOLDS: a step to a cell no
+        # farther than this crosses only free cells (see _free_step); longer
+        # steps take the cell walk, which ends in the same place
         self.margin = np.minimum(
             ndimage.distance_transform_cdt(code == _FREE, metric="chessboard"),
             _MAX_FOLDS)
@@ -209,11 +227,10 @@ class _Kernel:
         """Distance (physical units) to the nearest Dirichlet ghost line
         bordering each path's cell; inf where the cell has no kill wall."""
         d = np.full(fx.shape, np.inf)
-        code = self.code.take(cy * self.nx + cx)
-        sides = ((0, 1.0, fx, cx), (1, -1.0, fx, cx),
-                 (2, 1.0, fy, cy), (3, -1.0, fy, cy))
-        for dir_, sgn, f, c in sides:
-            has = (code & (16 << dir_)) != 0
+        cell = cy * self.nx + cx
+        for dir_, (axis, sgn) in enumerate(_DIRS):
+            f, c = (fx, cx) if axis == 0 else (fy, cy)
+            has = self.thr[dir_].take(cell) == 1.0
             dist = (c + sgn) - f if sgn > 0 else f - (c + sgn)
             np.minimum(d, np.where(has, dist, np.inf), out=d)
         return d * self.h
@@ -223,78 +240,76 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
     """Walk each proposed position to its resolved state.
 
     fx, fy hold the proposals (fractional lattice units); cx, cy the cell
-    each path occupied before the step (active).  A path walks through open
-    cells as far as it has to, folds about Neumann wall lines and dies
-    beyond Dirichlet ghost lines.  One still moving after _MAX_FOLDS folds
-    is a straggler: it settles on the node of the cell it has reached,
-    which is active and was reached without crossing a wall.  Mutates all
-    four in place plus `alive` for ghost-line kills; returns a boolean
-    array marking paths killed during resolution, and the number of
-    stragglers.
+    each path occupied before the step (active).  Each pass looks at +x,
+    -x, +y, -y in turn: a path whose offset past its node along a direction
+    exceeds that direction's threshold (`_Kernel.thr`) walks one cell over,
+    dies beyond the Dirichlet ghost line or folds about the Neumann node
+    line.  A path walks through open cells as far as it has to; one still
+    moving after _MAX_FOLDS folds is a straggler: it settles on the node of
+    the cell it has reached, which is active and was reached without
+    crossing a wall.  Mutates all four in place plus `alive` for ghost-line
+    kills; returns a boolean array marking paths killed during resolution,
+    and the number of stragglers.
     """
-    code, nx = kern.code, kern.nx
+    thr, nx = kern.thr, kern.nx
     killed = np.zeros(fx.shape, dtype=bool)
     folds = np.zeros(fx.shape, dtype=np.int64)
-    todo = alive.copy()
+    j = np.flatnonzero(alive)
     stragglers = 0
-    while todo.any():
-        j = np.nonzero(todo)[0]
-        jcx, jcy = cx[j], cy[j]
-        jfx, jfy = fx[j], fy[j]
-        jfolds = folds[j]
+    while j.size:
+        f, c = (fx[j], fy[j]), (cx[j], cy[j])
+        cell = c[1] * nx + c[0]
         acted = np.zeros(j.size, dtype=bool)
-
-        for axis in (0, 1):  # x first: the documented tie-break
-            f = jfx if axis == 0 else jfy
-            c = jcx if axis == 0 else jcy
-            d = f - c
-            for sgn, dir_ in (((1.0), (0 if axis == 0 else 2)),
-                              ((-1.0), (1 if axis == 0 else 3))):
-                sd = d * sgn
-                # read after the previous direction may have moved c
-                bits = code.take(jcy * nx + jcx)
-                # Dirichlet: dead past the ghost line at c + sgn
-                kill = ((bits & (16 << dir_)) != 0) & (sd > 1.0)
-                # Neumann (neither open nor Dirichlet): fold about the
-                # node line at c
-                fold = ((bits & (0x11 << dir_)) == 0) & (sd > 0.0)
-                # open neighbor: walk one cell over
-                walk = ((bits & (1 << dir_)) != 0) & (sd > 0.5)
-                if kill.any():
-                    kj = j[kill]
-                    killed[kj] = True
-                    alive[kj] = False
-                    acted |= kill
-                if fold.any():
-                    f[fold] = 2.0 * c[fold] - f[fold]
-                    jfolds += fold
-                    acted |= fold
-                if walk.any():
-                    c[walk] += int(sgn)
-                    acted |= walk
-                d = f - c
-
-        moving = acted & ~killed[j]
-        out = moving & (jfolds >= _MAX_FOLDS)
-        jfx[out], jfy[out] = jcx[out], jcy[out]
-        stragglers += int(out.sum())
-        fx[j], fy[j] = jfx, jfy
-        cx[j], cy[j] = jcx, jcy
-        folds[j] = jfolds
-        todo[j[~moving | out]] = False
+        folded = dead = False
+        for dir_, (axis, sgn) in enumerate(_DIRS):  # x first, + before -
+            fa, ca, t = f[axis], c[axis], thr[dir_]
+            a = ((fa - ca if sgn > 0 else ca - fa) > t.take(cell)).nonzero()[0]
+            if not a.size:
+                continue
+            acted[a] = True
+            ta = t.take(cell.take(a))
+            walk = a[ta == 0.5]
+            ca[walk] += sgn
+            cell[walk] += sgn if axis == 0 else sgn * nx
+            if walk.size < a.size:
+                fold = a[ta == 0.0]
+                fa[fold] = 2.0 * ca[fold] - fa[fold]
+                folds[j[fold]] += 1
+                folded |= bool(fold.size)
+                kj = j[a[ta == 1.0]]
+                killed[kj] = True
+                alive[kj] = False
+                dead |= bool(kj.size)
+        fx[j], fy[j] = f
+        cx[j], cy[j] = c
+        moving = acted & ~killed[j] if dead else acted
+        if folded:
+            out = moving & (folds[j] >= _MAX_FOLDS)
+            settle = j[out]
+            fx[settle], fy[settle] = cx[settle], cy[settle]
+            stragglers += settle.size
+            moving &= ~out
+        j = j[moving]
     return killed, stragglers
 
 
-def _free_step(fx, fy, cx, cy, margin):
+def _free_step(kern: _Kernel, fx, fy, cx, cy, margin):
     """Free-cell fast path: the cells proposals (fx, fy) from cells
     (cx, cy) settle in, and the indices of the paths it does not cover.
 
     Along each axis _resolve_step walks while |f - c| > 1/2, through open
     cells ending at floor(f - 1/2) + 1 (f - 1/2 is exact for f >= 1/4, and
-    every cell within reach of a free cell has index >= 1).  If every cell
-    on the way is free, that is all it does: it never folds, and it leaves
-    the position alone.  A destination closer than the start cell's margin
-    guarantees that.  Ties, with f - 1/2 integral, stay on the start
+    every free cell has index >= 1).  If every cell on the way is open
+    toward the next and the destination is free, that is all it does: it
+    never folds, it leaves the position alone, and its last pass finds
+    nothing to do.  A destination whose chessboard distance from the start
+    cell is at most the start cell's margin, and which is itself free,
+    guarantees that.  The walk steps at most one cell per axis and pass, x
+    first, so every cell it passes lies closer than the margin and is free,
+    except the cell it enters the destination from when the destination is
+    the margin away along both axes; there the side it came from is open,
+    and it steps on along y.  This covers a move of one cell from a free
+    cell into a free cell.  Ties, with f - 1/2 integral, stay on the start
     cell's side and are left out.
     """
     gx, gy = fx - 0.5, fy - 0.5
@@ -302,7 +317,9 @@ def _free_step(fx, fy, cx, cy, margin):
     nx_ = tx.astype(np.int64) + 1
     ny_ = ty.astype(np.int64) + 1
     reach = np.maximum(np.abs(nx_ - cx), np.abs(ny_ - cy))
-    slow = np.flatnonzero((reach >= margin) | (tx == gx) | (ty == gy))
+    # far proposals point off the grid; their reach exceeds any margin
+    free = kern.code.take(ny_ * kern.nx + nx_, mode="clip") == _FREE
+    slow = np.flatnonzero((reach > margin) | ~free | (tx == gx) | (ty == gy))
     return nx_, ny_, slow
 
 
@@ -313,6 +330,7 @@ class _Walk:
     surv: np.ndarray      # (checkpoints, starts) live-path counts
     fk_sum: float
     fk_sumsq: float
+    resolved: int         # path-steps that went through _resolve_step
     stragglers: int       # path-steps _resolve_step settled on their cell
 
 
@@ -339,7 +357,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
     nx = kern.nx
     margin = kern.margin.ravel()
     code = kern.code
-    stragglers = 0
+    resolved = stragglers = 0
 
     for step in range(1, n_steps + 1):
         if not slot.size:
@@ -355,9 +373,10 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
         fx += sigma * z[0]
         fy += sigma * z[1]
 
-        nx_, ny_, slow = _free_step(fx, fy, cx, cy, margin.take(cell))
+        nx_, ny_, slow = _free_step(kern, fx, fy, cx, cy, margin.take(cell))
         dead = np.zeros(slot.size, dtype=bool)
         if slow.size:
+            resolved += slow.size
             sfx, sfy, scx, scy = fx[slow], fy[slow], cx[slow], cy[slow]
             killed, lost = _resolve_step(kern, sfx, sfy, scx, scy,
                                          np.ones(slow.size, dtype=bool))
@@ -390,7 +409,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
         vals[slot] = _bilinear(kern, fk_grid, fx, fy)
         fk_sum = float(vals.sum())
         fk_sumsq = float((vals * vals).sum())
-    return _Walk(surv, fk_sum, fk_sumsq, stragglers)
+    return _Walk(surv, fk_sum, fk_sumsq, resolved, stragglers)
 
 
 def _bilinear(kern: _Kernel, grid, fx, fy):
@@ -430,10 +449,12 @@ def _walk(kern: _Kernel, cfg: PathConfig, starts, n_steps: int, dt: float,
     walk = _Walk(surv=sum(p.surv for p in parts),
                  fk_sum=sum(p.fk_sum for p in parts),
                  fk_sumsq=sum(p.fk_sumsq for p in parts),
+                 resolved=sum(p.resolved for p in parts),
                  stragglers=sum(p.stragglers for p in parts))
     _log.debug("lattice walk: %d paths from %d starts, %d steps of "
-               "dt=%.3g, %d stragglers settled on their cell", n_total,
-               starts[0].size, n_steps, dt, walk.stragglers)
+               "dt=%.3g, %d path-steps through the cell walk, %d stragglers "
+               "settled on their cell", n_total, starts[0].size, n_steps, dt,
+               walk.resolved, walk.stragglers)
     return walk
 
 

@@ -369,8 +369,7 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
     dense_max = max(4 * k, 256)
     if n <= dense_max:
         _log.debug("solve_eigs %r: dense, n=%d", name, n)
-        lam_all, U_all = scipy.linalg.eigh(B.toarray())
-        lam, U = lam_all[:k], U_all[:, :k]
+        lam, U = scipy.linalg.eigh(B.toarray(), subset_by_index=[0, k - 1])
     else:
         x0, y0, x1, y1 = op.dom.bbox
         sigma = -1.0 / ((x1 - x0) ** 2 + (y1 - y0) ** 2)

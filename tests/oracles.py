@@ -99,3 +99,64 @@ def wall_code(mask, labels_by_dir) -> np.ndarray:
                 elif labels_by_dir[d][iy][ix] == 0:
                     out[iy, ix] |= 16 << d
     return out
+
+
+def resolve_step(mask, walls, fx, fy, cx, cy, max_folds=8):
+    """Resolve proposed lattice positions path by path, by the rule the
+    walker documents.
+
+    mask is the active-node array; walls[d] says whether a missing
+    neighbour in direction d (+x, -x, +y, -y) is a "dirichlet" or a
+    "neumann" wall.  fx, fy hold the proposals in lattice units, cx, cy the
+    active cells the paths start from.  In each pass a path looks at +x,
+    -x, +y and -y in turn, from the cell it is in.  With the offset
+    s = (f - c) * sign of its position past its node along that direction:
+    it walks one cell over when the neighbour is active and s > 1/2, dies
+    when the wall is Dirichlet and s > 1 (past the ghost line), and folds
+    f to 2c - f when the wall is Neumann and s > 0.  The walk ends with the
+    first pass in which the path does nothing or dies.  A path that acted
+    in a pass after which it has folded max_folds times or more stops
+    there and settles on its cell's node.
+
+    Returns (fx, fy, cx, cy, killed, stragglers) as new arrays and a
+    count; a killed path keeps the state it died in.
+    """
+    ny, nx = mask.shape
+    n = len(fx)
+    out = [list(map(float, fx)), list(map(float, fy)),
+           list(map(int, cx)), list(map(int, cy))]
+    killed = [False] * n
+    stragglers = 0
+    for i in range(n):
+        f = [out[0][i], out[1][i]]
+        c = [out[2][i], out[3][i]]
+        folds = 0
+        while True:
+            acted = False
+            for d, (axis, sign) in enumerate(((0, 1), (0, -1), (1, 1),
+                                              (1, -1))):
+                s = f[axis] - c[axis] if sign > 0 else c[axis] - f[axis]
+                nb = list(c)
+                nb[axis] += sign
+                if 0 <= nb[0] < nx and 0 <= nb[1] < ny and mask[nb[1], nb[0]]:
+                    if s > 0.5:
+                        c = nb
+                        acted = True
+                elif walls[d] == "dirichlet":
+                    if s > 1.0:
+                        killed[i] = acted = True
+                        break
+                elif s > 0.0:
+                    f[axis] = 2.0 * c[axis] - f[axis]
+                    folds += 1
+                    acted = True
+            if not acted or killed[i]:
+                break
+            if folds >= max_folds:
+                f = [float(c[0]), float(c[1])]
+                stragglers += 1
+                break
+        out[0][i], out[1][i] = f
+        out[2][i], out[3][i] = c
+    return (np.array(out[0]), np.array(out[1]), np.array(out[2]),
+            np.array(out[3]), np.array(killed), stragglers)

@@ -134,6 +134,35 @@ def test_fixed_seed_pins_bitwise(doms, threads):
     assert all(abs(z) <= 4.5 for z in fk_z.values()), fk_z
 
 
+DECAY_PIN = (2.402957539771301, 0.05466561791981698, 0.0075342029627962,
+             (0.4441428571428571, 0.20957142857142858, 0.10157142857142858,
+              0.051142857142857136))
+STRAGGLER_PIN = (1.0, 0.0, "Euler absorption bias O(sqrt(dt)): sqrt(2*dt)="
+                 "1.000e+00; 492 path-steps settled on their cell after 8 "
+                 "folds; lattice wall placement within h/2=3.125e-02")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_walks_near_walls_pinned_bitwise(doms, threads):
+    """Two walks whose steps mostly go through the cell walk: the decay
+    estimate on the mixed 2 x 1 rectangle in the shape of the bench's
+    multistart workload (35 starts of 200 paths, 240 steps), and steps of
+    16 cells rms from the neck of the r = 40 Neumann dumbbell, which run
+    out of folds and settle on their cell."""
+    cfg = B.PathConfig(t_max=1.2, n_paths=200, dt=1.2 / 240, seed=0)
+    rep = B.mixed_eigenvalue_via_decay(doms["mixed"], cfg,
+                                       (0.3, 0.6, 0.9, 1.2), max_starts=64,
+                                       threads=threads)
+    assert (rep.lambda_hat, rep.stderr, rep.fit_residual,
+            rep.survival) == DECAY_PIN
+    dumbbell = build_domain(DomainSpec(
+        "dumbbell", {"neck_width": 0.25, "neck_length": 0.5}, 40, "neumann"))
+    cfg = B.PathConfig(t_max=5.0, n_paths=N_PINNED, dt=0.5, seed=3)
+    est = B.survival_probability(dumbbell, (1.25, 0.5), 5.0, cfg,
+                                 threads=threads)
+    assert (est.mean, est.stderr, est.bias_note) == STRAGGLER_PIN
+
+
 def test_survival_matches_spectral_profile():
     """Killed paths against the lattice survival profile on the Dirichlet
     square (h = 1/32), from a node, at two workers.  At dt = 2e-4 the
@@ -194,7 +223,7 @@ def test_free_step_matches_resolve_step(doms):
     # exact ties f - 1/2 integral, which the walk breaks toward the start
     tie = rng.random(k.size) < 0.05
     fx[tie] = np.round(fx[tie]) + 0.5
-    nx_, ny_, slow = B._free_step(fx, fy, cx, cy, kern.margin[cy, cx])
+    nx_, ny_, slow = B._free_step(kern, fx, fy, cx, cy, kern.margin[cy, cx])
     fast = np.setdiff1d(np.arange(k.size), slow)
     assert fast.size > k.size // 3 and slow.size > k.size // 10
     rx, ry, rcx, rcy = fx.copy(), fy.copy(), cx.copy(), cy.copy()
@@ -205,6 +234,67 @@ def test_free_step_matches_resolve_step(doms):
     assert np.array_equal(rcy[fast], ny_[fast])
     assert np.array_equal(rx[fast], fx[fast])
     assert np.array_equal(ry[fast], fy[fast])
+
+
+ORACLE_CASES = {  # domain, kernel bc_mode, walls in +x, -x, +y, -y
+    "mixed": ("mixed", "mixed", ("dirichlet",) * 2 + ("neumann",) * 2),
+    "neumann_box": ("neumann", "mixed", ("neumann",) * 4),
+    "dumbbell_dirichlet": ("dumbbell", "dirichlet", ("dirichlet",) * 4),
+    "dumbbell_neumann": ("dumbbell", "neumann", ("neumann",) * 4),
+    "octopus_neumann": (DomainSpec("octopus", {}, 100, "neumann"), "neumann",
+                        ("neumann",) * 4),
+    # a 10 x 8 block with a one-node spur above its second column
+    "spur": (DomainSpec("custom_mask",
+                        {"rows": ["01" + "0" * 8] + ["1" * 10] * 8}, 16,
+                        "neumann"), "mixed", ("neumann",) * 4),
+}
+
+
+@pytest.mark.parametrize("key", list(ORACLE_CASES))
+def test_steps_match_reference_resolver(doms, key):
+    """_resolve_step, and _free_step where it takes a path, against the
+    path-by-path reference: the same kills and stragglers, and the same
+    cells and positions for every path that lives.  Proposals 0.3, 0.8,
+    2.5 and 8 cells rms from points of active cells, a tenth of them
+    moved onto exact half-cell ties."""
+    dom, bc, walls = ORACLE_CASES[key]
+    dom = doms[dom] if isinstance(dom, str) else build_domain(dom)
+    kern = B._Kernel(dom, bc)
+    rng = np.random.default_rng(list(ORACLE_CASES).index(key))
+    iy, ix = np.nonzero(dom.mask)
+    n = 1000
+    k = rng.integers(0, iy.size, 4 * n)
+    cy, cx = iy[k].astype(np.int64), ix[k].astype(np.int64)
+    scale = np.repeat([0.3, 0.8, 2.5, 8.0], n)
+    fx, fy = (c + rng.uniform(-0.5, 0.5, k.size)
+              + scale * rng.standard_normal(k.size) for c in (cx, cy))
+    for f in (fx, fy):
+        tie = rng.random(k.size) < 0.1
+        f[tie] = np.round(f[tie]) + 0.5
+    *want, want_killed, want_lost = oracles.resolve_step(
+        dom.mask, walls, fx, fy, cx, cy)
+    got = [fx.copy(), fy.copy(), cx.copy(), cy.copy()]
+    alive = np.ones(k.size, dtype=bool)
+    killed, lost = B._resolve_step(kern, *got, alive)
+    assert lost == want_lost
+    assert np.array_equal(killed, want_killed)
+    assert np.array_equal(alive, ~want_killed)
+    live = ~killed
+    for a, b in zip(got, want):
+        assert np.array_equal(a[live], b[live])
+    assert want_killed.any() == ("dirichlet" in walls)
+    margin = kern.margin[cy, cx]
+    nx_, ny_, slow = B._free_step(kern, fx, fy, cx, cy, margin)
+    fast = np.setdiff1d(np.arange(k.size), slow)
+    assert fast.size > k.size // 10
+    # the fast path also takes moves to free cells at the margin's distance
+    reach = np.maximum(np.abs(nx_ - cx), np.abs(ny_ - cy))
+    assert (reach[fast] == margin[fast]).any()
+    assert not want_killed[fast].any()
+    assert np.array_equal(nx_[fast], want[2][fast])
+    assert np.array_equal(ny_[fast], want[3][fast])
+    assert np.array_equal(fx[fast], want[0][fast])
+    assert np.array_equal(fy[fast], want[1][fast])
 
 
 @contextlib.contextmanager
@@ -279,6 +369,36 @@ def test_straggler_projections_counted(doms, caplog):
     on_node = (fx == cx) & (fy == cy)
     assert not killed.any() and dom.mask[cy, cx].all()
     assert 0 < lost == on_node.sum() < 100
+
+
+def _cell_walk_steps(caplog):
+    """Path-steps through the cell walk of the lattice walks logged since
+    the last clear."""
+    return [int(r.getMessage().split(", ")[-2].split()[0])
+            for r in caplog.records
+            if r.getMessage().startswith("lattice walk:")]
+
+
+def test_cell_walk_steps_counted(doms, caplog):
+    """The walk logs how many path-steps went through the cell walk,
+    summed over its batches.  A Neumann strip two cells high has no free
+    cell, so every path-step of it goes there; on the Dirichlet square
+    some do, the same number at 1 and 2 workers."""
+    strip = build_domain(DomainSpec("custom_mask", {"rows": ["1" * 12] * 2},
+                                    16, "neumann"))
+    with caplog.at_level(logging.DEBUG, logger="eigenwalk"):
+        cfg = B.PathConfig(t_max=1e-3, n_paths=N_PINNED, dt=1e-4, seed=3)
+        B.survival_probability(strip, (0.08, 0.01), 1e-3, cfg)
+        assert _cell_walk_steps(caplog) == [10 * N_PINNED]
+        counts = []
+        cfg = B.PathConfig(t_max=0.02, n_paths=N_PINNED, dt=0.001, seed=3)
+        for threads in (1, 2):
+            caplog.clear()
+            B.survival_probability(doms["square"], (0.3, 0.45), 0.02, cfg,
+                                   threads=threads)
+            counts += _cell_walk_steps(caplog)
+    assert counts[0] == counts[1]
+    assert 0 < counts[0] < 20 * N_PINNED
 
 
 def test_no_step_jumps_a_wall():
