@@ -236,7 +236,7 @@ class _Kernel:
         return d * self.h
 
 
-def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
+def _resolve_step(kern: _Kernel, fx, fy, cx, cy):
     """Walk each proposed position to its resolved state.
 
     fx, fy hold the proposals (fractional lattice units); cx, cy the cell
@@ -247,14 +247,14 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
     line.  A path walks through open cells as far as it has to; one still
     moving after _MAX_FOLDS folds is a straggler: it settles on the node of
     the cell it has reached, which is active and was reached without
-    crossing a wall.  Mutates all four in place plus `alive` for ghost-line
-    kills; returns a boolean array marking paths killed during resolution,
-    and the number of stragglers.
+    crossing a wall.  Mutates all four in place; returns a boolean array
+    marking paths killed beyond a ghost line, and the number of
+    stragglers.
     """
     thr, nx = kern.thr, kern.nx
     killed = np.zeros(fx.shape, dtype=bool)
     folds = np.zeros(fx.shape, dtype=np.int64)
-    j = np.flatnonzero(alive)
+    j = np.arange(fx.size)
     stragglers = 0
     while j.size:
         f, c = (fx[j], fy[j]), (cx[j], cy[j])
@@ -278,7 +278,6 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy, alive):
                 folded |= bool(fold.size)
                 kj = j[a[ta == 1.0]]
                 killed[kj] = True
-                alive[kj] = False
                 dead |= bool(kj.size)
         fx[j], fy[j] = f
         cx[j], cy[j] = c
@@ -378,8 +377,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
         if slow.size:
             resolved += slow.size
             sfx, sfy, scx, scy = fx[slow], fy[slow], cx[slow], cy[slow]
-            killed, lost = _resolve_step(kern, sfx, sfy, scx, scy,
-                                         np.ones(slow.size, dtype=bool))
+            killed, lost = _resolve_step(kern, sfx, sfy, scx, scy)
             stragglers += lost
             fx[slow], fy[slow] = sfx, sfy
             nx_[slow], ny_[slow] = scx, scy

@@ -248,15 +248,6 @@ def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperat
 # eigensolve
 
 
-def _rayleigh_ritz(B, V):
-    """Project B onto span(V) and return ascending eigenpairs there."""
-    Q, _ = np.linalg.qr(V)
-    H = Q.T @ (B @ Q)
-    H = 0.5 * (H + H.T)
-    theta, S = scipy.linalg.eigh(H)
-    return theta, Q @ S
-
-
 def _residuals(B, lam, U):
     R = B @ U - U * lam[np.newaxis, :]
     return np.linalg.norm(R, axis=0) / np.linalg.norm(U, axis=0)
@@ -270,21 +261,6 @@ def _shift_invert(B, sigma: float) -> LinearOperator:
     shifted = (B - sigma * sparse.identity(B.shape[0], format="csr")).tocsc()
     lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
     return LinearOperator(B.shape, matvec=lu.solve, dtype=B.dtype)
-
-
-def _lanczos(B, k: int, sigma: float, v0, tol: float, what: str):
-    """Lowest k eigenpairs of sparse symmetric B: shift-inverted Lanczos
-    about sigma, then a Rayleigh-Ritz cleanup; unsorted."""
-    try:
-        lam, U = eigsh(B, k=k, sigma=sigma, which="LM", v0=v0, tol=tol,
-                       maxiter=max(1000, 20 * k),
-                       OPinv=_shift_invert(B, sigma))
-    except ArpackNoConvergence as exc:
-        got = len(exc.eigenvalues)
-        raise SpectralError(
-            f"Lanczos converged only {got}/{k} eigenpairs on {what}; try "
-            f"fewer pairs or a coarser grid") from exc
-    return _rayleigh_ritz(B, U)
 
 
 def _mirror(op: LaplaceOperator):
@@ -335,28 +311,30 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
 
     Deterministic for a fixed seed (it only sets the start vector) and a
     fixed BLAS thread count.  Problems of at most max(4k, 256) nodes are
-    solved densely.  Larger ones use shift-inverted Lanczos with a
-    Rayleigh-Ritz cleanup, shifted to sigma = -1/L^2 with L the diagonal
-    of the domain's bounding box: just below the spectrum at the domain's
-    own scale, so the wanted eigenvalues of the inverse stay far apart
-    (a shift at the scale of the largest entry, ~4/h^2, bunches them).
-    eigsh stops at the relative tolerance residual_tol/100.
+    solved densely.  Larger ones are split into parity blocks, and each
+    block goes through shift-inverted Lanczos (eigsh) for k pairs, shifted
+    to sigma = -1/L^2 with L the diagonal of the domain's bounding box:
+    just below the spectrum at the domain's own scale, so the wanted
+    eigenvalues of the inverse stay far apart (a shift at the scale of the
+    largest entry, ~4/h^2, bunches them).  eigsh stops at the relative
+    tolerance residual_tol/100, and its Ritz pairs are taken as they come.
 
-    When B commutes exactly with a lattice mirror (see _mirror), Lanczos
-    runs on the mirror's even and odd halves instead, Q_e^T B Q_e and
-    Q_o^T B Q_o (see _parity_bases), one after the other, for k pairs
-    each; the lowest k of the union are the lowest k of B.  A mirror
-    separates the near-degenerate even/odd pairs of two-lobed domains,
-    which slow Lanczos on B, and each half solves with a factor of half
-    the size.  This route runs only when both halves are too large to be
-    solved densely.  Eigenvalues shared by the two halves (exactly
+    When B commutes exactly with a lattice mirror (see _mirror) and its
+    odd half is too large to be solved densely, the blocks are the
+    mirror's even and odd halves, Q_e^T B Q_e and Q_o^T B Q_o (see
+    _parity_bases); the lowest k of their union are the lowest k of B.  A
+    mirror separates the near-degenerate even/odd pairs of two-lobed
+    domains, which slow Lanczos on B, and each half solves with a factor
+    of half the size.  Eigenvalues shared by the two halves (exactly
     degenerate pairs, as on a four-armed octopus) come back in this
     parity-adapted basis: one field even under the mirror, one odd.
+    Otherwise B itself is the one block.
 
     The route (dense, Lanczos, or Lanczos on x- or y-mirror halves, with
-    the sizes and sigma) is logged at DEBUG to the "eigenwalk" logger.
-    Residuals are measured on the full B either way; if any misses
-    residual_tol * (1 + lam), raises SpectralError quoting it.
+    the sizes and sigma) is logged at DEBUG to the "eigenwalk" logger.  A
+    block whose Lanczos run does not converge raises SpectralError naming
+    the block.  Residuals are measured on the full B either way; if any
+    misses residual_tol * (1 + lam), raises SpectralError quoting it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -373,28 +351,36 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
     else:
         x0, y0, x1, y1 = op.dom.bbox
         sigma = -1.0 / ((x1 - x0) ** 2 + (y1 - y0) ** 2)
-        tol = residual_tol / 100
         v0 = np.random.default_rng(seed).standard_normal(n)
         mirror = _mirror(op)
         halves = _parity_bases(mirror[1]) if mirror else None
         if halves is None or halves[1].shape[1] <= dense_max:  # odd: smaller
             _log.debug("solve_eigs %r: Lanczos, n=%d, sigma=%.6g",
                        name, n, sigma)
-            lam, U = _lanczos(B, k, sigma, v0, tol, f"{name!r} (n={n})")
+            blocks = [(None, f"{name!r}")]
         else:
-            Qe, Qo = halves
             _log.debug("solve_eigs %r: Lanczos on %s-mirror halves, "
                        "n_even=%d, n_odd=%d, sigma=%.6g", name, mirror[0],
-                       Qe.shape[1], Qo.shape[1], sigma)
-            lams, Us = [], []
-            for Q, part in ((Qe, "even"), (Qo, "odd")):
-                lam_h, V = _lanczos(
-                    (Q.T @ B @ Q).tocsr(), k, sigma, Q.T @ v0, tol,
-                    f"the {part} {mirror[0]}-mirror half of {name!r} "
-                    f"(n={Q.shape[1]})")
-                lams.append(lam_h)
-                Us.append(Q @ V)
-            lam, U = np.concatenate(lams), np.hstack(Us)
+                       halves[0].shape[1], halves[1].shape[1], sigma)
+            blocks = [(Q, f"the {part} {mirror[0]}-mirror half of {name!r}")
+                      for Q, part in zip(halves, ("even", "odd"))]
+        lams, Us = [], []
+        for Q, what in blocks:  # Q: the block's basis, None for B itself
+            A = B if Q is None else (Q.T @ B @ Q).tocsr()
+            try:
+                lam_b, V = eigsh(A, k=k, sigma=sigma, which="LM",
+                                 v0=v0 if Q is None else Q.T @ v0,
+                                 tol=residual_tol / 100,
+                                 maxiter=max(1000, 20 * k),
+                                 OPinv=_shift_invert(A, sigma))
+            except ArpackNoConvergence as exc:
+                raise SpectralError(
+                    f"Lanczos converged only {len(exc.eigenvalues)}/{k} "
+                    f"eigenpairs on {what} (n={A.shape[0]}); try fewer "
+                    f"pairs or a coarser grid") from exc
+            lams.append(lam_b)
+            Us.append(V if Q is None else Q @ V)
+        lam, U = np.concatenate(lams), np.hstack(Us)
 
     order = np.argsort(lam, kind="stable")[:k]
     lam, U = lam[order], U[:, order]
@@ -415,7 +401,7 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
         v /= math.sqrt(h * h * float(v @ v))
         fields.append(v)
 
-    _fix_signs(op, lam, fields)
+    _fix_signs(op, fields)
     grids = []
     for v in fields:
         g = op.vector_to_field(v)
@@ -427,31 +413,28 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
                           residuals=res, bc_mode=op.bc_mode, operator=op)
 
 
-def _fix_signs(op, lam, fields):
+def _fix_signs(op, fields):
     """Deterministic orientation: ground field has positive max; the
     second pure-Neumann field is negative at the leftmost active node
     (bottom-most on ties); every other field makes its first significant
     active-order component positive."""
     for j, v in enumerate(fields):
         if j == 0:
-            if v.max() < -v.min():
-                v *= -1.0
+            flip = v.max() < -v.min()
         elif j == 1 and op.bc_mode == "neumann":
-            left = np.lexsort((op.iy, op.ix))
-            ref = 0.0
-            for p in left:
-                if abs(v[p]) > 1e-10 * np.abs(v).max():
-                    ref = v[p]
-                    break
-            if ref > 0:
-                v *= -1.0
+            flip = _first_significant(v[np.lexsort((op.iy, op.ix))],
+                                      1e-10) > 0
         else:
-            big = np.abs(v).max()
-            for x in v:
-                if abs(x) > 1e-8 * big:
-                    if x < 0:
-                        v *= -1.0
-                    break
+            flip = _first_significant(v, 1e-8) < 0
+        if flip:
+            v *= -1.0
+
+
+def _first_significant(w, rel: float) -> float:
+    """First entry of w larger in magnitude than rel times its largest
+    magnitude, or 0.0 if there is none."""
+    big = np.abs(w) > rel * np.abs(w).max()
+    return float(w[np.argmax(big)]) if big.any() else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +461,14 @@ def heat_semigroup(result: SpectralResult, f0, t: float,
                    max_truncation: float | None = None) -> HeatState:
     """Evolve f0 by the heat semigroup using the computed eigenbasis.
 
-    f0 is a (ny, nx) array (values off-domain are ignored).  The dropped
-    component is bounded by exp(-lam_k * t) * ||f0 - proj f0||, reported
-    as HeatState.truncation_bound; pass max_truncation to make a sloppy
-    basis an error instead of a silent approximation.
+    f0 is a (ny, nx) array (values off-domain are ignored) and t a finite
+    time >= 0; NaN and infinity raise ValueError.  The dropped component
+    is bounded by exp(-lam_k * t) * ||f0 - proj f0||, reported as
+    HeatState.truncation_bound; pass max_truncation to make a sloppy basis
+    an error instead of a silent approximation.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0.0 <= t < math.inf:  # also refuses NaN
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     op = result.operator
     f0_vec = op.field_to_vector(f0)
     coeffs, tail_norm = _project(result, f0_vec)
@@ -504,8 +488,7 @@ def heat_semigroup(result: SpectralResult, f0, t: float,
                      truncation_bound=bound)
 
 
-def survival_profile(result: SpectralResult, t: float,
-                     max_truncation: float | None = None) -> HeatState:
+def survival_profile(result: SpectralResult, t: float) -> HeatState:
     """Probability that heat started uniformly has not yet left: the heat
     evolution of the constant 1 under absorbing walls.  Requires a
     Dirichlet solve; values live in [0, 1] up to truncation error."""
@@ -513,7 +496,7 @@ def survival_profile(result: SpectralResult, t: float,
         raise ValueError("survival profile needs a Dirichlet spectrum, "
                          f"got bc_mode={result.bc_mode!r}")
     ones = np.ones(result.dom.mask.shape)
-    return heat_semigroup(result, ones, t, max_truncation=max_truncation)
+    return heat_semigroup(result, ones, t)
 
 
 # ---------------------------------------------------------------------------

@@ -160,3 +160,26 @@ def resolve_step(mask, walls, fx, fy, cx, cy, max_folds=8):
         out[2][i], out[3][i] = c
     return (np.array(out[0]), np.array(out[1]), np.array(out[2]),
             np.array(out[3]), np.array(killed), stragglers)
+
+
+def fix_signs(iy, ix, bc_mode, fields):
+    """Orient eigenfields in place by the rule solve_eigs documents,
+    scanning entry by entry: field 0 gets a positive max; under pure
+    Neumann walls field 1 gets a negative first entry, in order of
+    leftmost node (bottom-most on ties), above 1e-10 of its largest
+    magnitude; every other field a positive first entry, in active
+    order, above 1e-8 of its largest magnitude."""
+    for j, v in enumerate(fields):
+        big = max(abs(float(x)) for x in v)
+        if j == 0:
+            flip = max(v) < -min(v)
+        elif j == 1 and bc_mode == "neumann":
+            order = sorted(range(len(v)), key=lambda p: (ix[p], iy[p]))
+            first = next((v[p] for p in order if abs(v[p]) > 1e-10 * big),
+                         0.0)
+            flip = first > 0
+        else:
+            first = next((x for x in v if abs(x) > 1e-8 * big), 0.0)
+            flip = first < 0
+        if flip:
+            v *= -1.0

@@ -227,8 +227,7 @@ def test_free_step_matches_resolve_step(doms):
     fast = np.setdiff1d(np.arange(k.size), slow)
     assert fast.size > k.size // 3 and slow.size > k.size // 10
     rx, ry, rcx, rcy = fx.copy(), fy.copy(), cx.copy(), cy.copy()
-    killed, _ = B._resolve_step(kern, rx, ry, rcx, rcy,
-                                np.ones(k.size, dtype=bool))
+    killed, _ = B._resolve_step(kern, rx, ry, rcx, rcy)
     assert not killed[fast].any()
     assert np.array_equal(rcx[fast], nx_[fast])
     assert np.array_equal(rcy[fast], ny_[fast])
@@ -274,11 +273,9 @@ def test_steps_match_reference_resolver(doms, key):
     *want, want_killed, want_lost = oracles.resolve_step(
         dom.mask, walls, fx, fy, cx, cy)
     got = [fx.copy(), fy.copy(), cx.copy(), cy.copy()]
-    alive = np.ones(k.size, dtype=bool)
-    killed, lost = B._resolve_step(kern, *got, alive)
+    killed, lost = B._resolve_step(kern, *got)
     assert lost == want_lost
     assert np.array_equal(killed, want_killed)
-    assert np.array_equal(alive, ~want_killed)
     live = ~killed
     for a, b in zip(got, want):
         assert np.array_equal(a[live], b[live])
@@ -364,8 +361,7 @@ def test_straggler_projections_counted(doms, caplog):
     k = rng.integers(0, iy.size, 20000)
     cy, cx = iy[k].astype(np.int64), ix[k].astype(np.int64)
     fx, fy = (c + 8.0 * rng.standard_normal(k.size) for c in (cx, cy))
-    killed, lost = B._resolve_step(kern, fx, fy, cx, cy,
-                                   np.ones(k.size, dtype=bool))
+    killed, lost = B._resolve_step(kern, fx, fy, cx, cy)
     on_node = (fx == cx) & (fy == cy)
     assert not killed.any() and dom.mask[cy, cx].all()
     assert 0 < lost == on_node.sum() < 100
@@ -415,7 +411,7 @@ def test_no_step_jumps_a_wall():
     cx, cy = rng.integers(0, 3, n), rng.integers(23, 43, n)
     fx, fy = (c + 4.0 * rng.standard_normal(n) for c in (cx, cy))
     near_bar = np.abs(fy - cy) > cy - 2.5  # bar rows are y = 0, 1, 2
-    killed, _ = B._resolve_step(kern, fx, fy, cx, cy, np.ones(n, dtype=bool))
+    killed, _ = B._resolve_step(kern, fx, fy, cx, cy)
     assert not killed.any() and dom.mask[cy, cx].all()
     assert (cx <= 2)[~near_bar].all()
     assert (fx <= 2.0)[~near_bar].all()
@@ -428,8 +424,7 @@ def test_long_open_step_lands_on_proposal():
     fx, fy = np.array([150.3]), np.array([160.6])
     cx, cy = np.array([20]), np.array([20])
     with within(10):
-        killed, lost = B._resolve_step(kern, fx, fy, cx, cy,
-                                       np.ones(1, dtype=bool))
+        killed, lost = B._resolve_step(kern, fx, fy, cx, cy)
     assert lost == 0 and not killed.any()
     assert (fx[0], fy[0], cx[0], cy[0]) == (150.3, 160.6, 150, 161)
 
@@ -453,8 +448,7 @@ def resolve(kern, pos, prop):
     and the number of stragglers."""
     _, _, cx, cy = kern.start_table(pos)
     fx, fy = ((np.asarray(prop, dtype=float) - kern.origin) / kern.h).T.copy()
-    _, lost = B._resolve_step(kern, fx, fy, cx, cy,
-                              np.ones(fx.size, dtype=bool))
+    _, lost = B._resolve_step(kern, fx, fy, cx, cy)
     return np.column_stack([kern.origin[0] + fx * kern.h,
                             kern.origin[1] + fy * kern.h]), lost
 

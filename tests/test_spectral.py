@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import oracles
 from eigenwalk import spectral
@@ -306,6 +307,34 @@ class TestEigsContract:
         leftmost = np.lexsort((op.iy, op.ix))[0]
         assert v[leftmost] < 0
 
+    def test_signs_match_reference(self, sq128d, dumbbell_n):
+        """The sign rule against the entry-by-entry scan in
+        oracles.fix_signs, bit for bit, on the computed fields with random
+        signs.  In every other field the first two entries of its scan
+        order are set to 1/2 and 2 times its significance threshold, the
+        first with the sign of the entry after them and the second with
+        the other sign, so the outcome depends on where the scan starts
+        and on the threshold."""
+        rng = np.random.default_rng(3)
+        for r in (sq128d, dumbbell_n):
+            op = r.operator
+            left = np.lexsort((op.iy, op.ix))
+            fields = []
+            for j, g in enumerate(r.eigenfields):
+                v = op.field_to_vector(g) * rng.choice([-1.0, 1.0])
+                if j % 2:
+                    neumann = j == 1 and op.bc_mode == "neumann"
+                    scan = left if neumann else np.arange(v.size)
+                    rel = 1e-10 if neumann else 1e-8
+                    a = 1.0 if v[scan[2]] >= 0 else -1.0
+                    v[scan[:2]] = np.abs(v).max() * rel * np.array([0.5 * a,
+                                                                    -2 * a])
+                fields.append(v)
+            want = [v.copy() for v in fields]
+            oracles.fix_signs(op.iy, op.ix, op.bc_mode, want)
+            spectral._fix_signs(op, fields)
+            assert all(np.array_equal(a, b) for a, b in zip(fields, want))
+
     def test_bad_k(self):
         op = assemble_laplacian(rect(resolution=16), "dirichlet")
         with pytest.raises(ValueError):
@@ -468,6 +497,42 @@ class TestMirrorSplit:
             solve_eigs(op, k=2, seed=0)
         assert _routes(caplog) == [f"solve_eigs 'rectangle': dense, n={op.n}"]
 
+    @pytest.mark.parametrize("case", ["walls", "dumbbell-D"])
+    def test_no_convergence_names_the_block(self, case, monkeypatch):
+        """A Lanczos run that stops short raises SpectralError naming its
+        block and how many pairs converged: B itself on the unsplit route
+        (the "walls" mask of test_unsplit_routes_match_dense), the odd
+        half on the split one, after the even half has solved."""
+        if case == "walls":
+            labels = np.array([NEUMANN, DIRICHLET, NEUMANN, DIRICHLET])
+            dom = GridDomain("walls", 1 / 40, (0.0, 0.0),
+                             np.ones((30, 40), dtype=bool),
+                             labels.reshape(4, 1, 1))
+            op = assemble_laplacian(dom, "mixed")
+            fail_at, what = 1, f"'walls' (n={op.n})"
+        else:
+            spec, bc = MIRRORED[case]
+            op = assemble_laplacian(build_domain(spec), bc)
+            n_odd = spectral._parity_bases(spectral._mirror(op)[1])[1].shape[1]
+            fail_at = 2
+            what = f"the odd x-mirror half of {op.dom.name!r} (n={n_odd})"
+        real, calls = spectral.eigsh, []
+
+        def eigsh(A, k, **kw):
+            calls.append(A.shape[0])
+            if len(calls) < fail_at:
+                return real(A, k, **kw)
+            raise ArpackNoConvergence("stopped", np.ones(5),
+                                      np.ones((A.shape[0], 5)))
+
+        monkeypatch.setattr(spectral, "eigsh", eigsh)
+        with pytest.raises(SpectralError) as err:
+            solve_eigs(op, k=12, seed=0)
+        assert str(err.value).startswith(
+            f"Lanczos converged only 5/12 eigenpairs on {what};")
+        assert isinstance(err.value.__cause__, ArpackNoConvergence)
+        assert len(calls) == fail_at
+
 
 # ---------------------------------------------------------------------------
 # heat flow
@@ -525,6 +590,18 @@ class TestHeat:
     def test_negative_time_rejected(self, sq128d):
         with pytest.raises(ValueError):
             heat_semigroup(sq128d, np.ones(sq128d.dom.mask.shape), -0.1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, sq128d, t):
+        """exp(-lam t) turns NaN and infinite times into NaN fields, so
+        both are refused rather than evolved."""
+        neumann = solve_eigs(assemble_laplacian(rect(resolution=16,
+                                                     bc="neumann"),
+                                                "neumann"), k=4, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            heat_semigroup(neumann, np.ones(neumann.dom.mask.shape), t)
+        with pytest.raises(ValueError, match="finite"):
+            survival_profile(sq128d, t)
 
     def test_equilibration_limit(self, dumbbell_n):
         dom = dumbbell_n.dom
