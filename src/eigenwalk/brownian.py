@@ -36,6 +36,34 @@ between two free cells, moves straight there (the fast path,
 `_free_step`).  Every other path goes through the cell walk, and the
 walk's DEBUG line counts those path-steps.
 
+The pass order is part of the rule, and it breaks mirror symmetry where a
+step leaves a narrow neck diagonally: x before y and + before - decides
+which wall line such a path folds about, so a step and its mirror image
+can end apart (3 of 20000 single steps of 2.5 cells rms from the nodes of
+the r = 40 dumbbell).  The rule is kept.  It is deterministic and local,
+it changes only steps of several cells, which the walker's default dt
+(at most h^2/4, a step of 0.7 cells rms) seldom takes, and any other order
+would change every pinned estimate.
+
+Steps are taken in chunks of _CHUNK, which also end at every survival
+checkpoint and at the horizon.  A chunk draws its steps' randomness in the
+order below and runs every live path's position through them with the
+same float64 additions a step makes, keeping the largest and smallest
+coordinate along each axis.  A path flies through the chunk when that
+excursion from its chunk-start cell's node stays below the cell's room
+(`_Kernel.room`: the uncapped chessboard distance to the nearest cell that
+is not free, less 1/2) on both axes, and its last position is no
+half-cell tie.  Then every cell the step rule would visit lies closer to
+the start cell than that distance and is free: open on all four sides,
+with no Dirichlet bit, so no kill, fold or bridge test touches the path
+and no step moves its position.  It ends on its last position and that
+position's cell, floor(f - 1/2) + 1 per axis, as step by step.  The test
+is computed in floating point, but rounding is monotone, so a computed
+excursion below the room is an exact one.  Every other path is replayed
+step by step from the chunk's saved draws through the step rule (`_step`,
+the one place it is written) and put back in its slot.  The DEBUG line
+counts the path-steps in flight too.
+
 Between-step absorption is recovered by the Brownian bridge correction: a
 step ending at distances d1, d2 from a kill line registers a crossing with
 probability exp(-d1*d2/dt), evaluated only for paths whose cells border a
@@ -68,7 +96,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from ._rng import NormalChunks, batch_rng, map_batches
+from ._rng import batch_rng, fill_normals, map_batches
 from .geometry import GridDomain, active_cell
 from .spectral import SpectralResult, grid_hash
 
@@ -86,6 +114,7 @@ __all__ = [
 BATCH_PATHS = 16384
 _WALK_STREAM = 0x57414C4B  # distinct stream tag; theta's oracle uses its own
 _MAX_FOLDS = 8
+_CHUNK = 8  # steps per free-flight chunk; measured best on walker-survival
 _FREE = 0x0F  # wall code of a cell whose four neighbours are all active
 _DIRS = ((0, 1), (0, -1), (1, 1), (1, -1))  # (axis, sign): +x, -x, +y, -y
 _BRIDGE_CUTOFF = 45.0  # exp(-45) ~ 3e-20: beyond this the bridge cannot fire
@@ -187,7 +216,9 @@ class _Kernel:
     directions +x, -x, +y, -y: the offset past its node a path must exceed
     before that direction acts.  It is 1/2 toward an open neighbour (walk
     one cell over), 1 at a Dirichlet wall (die past the ghost line) and 0
-    at a Neumann wall (fold about the node line).
+    at a Neumann wall (fold about the node line).  The bridge correction
+    reads the ghost lines (`ghost`), the free-flight test the room
+    (`room`) and the fast path the margin (`margin`).
     """
 
     def __init__(self, dom: GridDomain, bc_mode: str):
@@ -202,13 +233,24 @@ class _Kernel:
         self.any_dirichlet = bool((code >> 4).any())
         d = np.arange(4)[:, None]
         self.thr = 0.5 * ((self.code >> d) & 1) + ((self.code >> (d + 4)) & 1)
+        # the Dirichlet ghost line each cell kills beyond, per direction
+        # (+x, -x, +y, -y), and +-inf where that side does not kill
+        cy, cx = np.divmod(np.arange(self.code.size), self.nx)
+        kills = self.thr == 1.0
+        self.ghost = tuple(np.where(kills[dir_], (cx, cy)[axis] + sgn,
+                                    sgn * np.inf)
+                           for dir_, (axis, sgn) in enumerate(_DIRS))
         # chessboard distance to the nearest cell that is inactive or lacks
-        # an active neighbour, capped at _MAX_FOLDS: a step to a cell no
-        # farther than this crosses only free cells (see _free_step); longer
-        # steps take the cell walk, which ends in the same place
-        self.margin = np.minimum(
-            ndimage.distance_transform_cdt(code == _FREE, metric="chessboard"),
-            _MAX_FOLDS)
+        # an active neighbour.  A path that strays less than room from its
+        # cell's node, room = that distance - 1/2, crosses only free cells
+        # (see _walk_batch).  Capped at _MAX_FOLDS it is the margin: a step
+        # to a cell no farther than this crosses only free cells (see
+        # _free_step); longer steps take the cell walk, which ends in the
+        # same place
+        clear = ndimage.distance_transform_cdt(code == _FREE,
+                                               metric="chessboard")
+        self.room = clear.ravel() - 0.5
+        self.margin = np.minimum(clear, _MAX_FOLDS)
 
     def start_table(self, points):
         """(fx, fy, cx, cy) arrays of shape (S,) for S start points; raises
@@ -223,16 +265,13 @@ class _Kernel:
                                 f"the domain")
         return fx, fy, cx, cy
 
-    def kill_distance(self, fx, fy, cx, cy):
+    def kill_distance(self, fx, fy, cell):
         """Distance (physical units) to the nearest Dirichlet ghost line
-        bordering each path's cell; inf where the cell has no kill wall."""
-        d = np.full(fx.shape, np.inf)
-        cell = cy * self.nx + cx
-        for dir_, (axis, sgn) in enumerate(_DIRS):
-            f, c = (fx, cx) if axis == 0 else (fy, cy)
-            has = self.thr[dir_].take(cell) == 1.0
-            dist = (c + sgn) - f if sgn > 0 else f - (c + sgn)
-            np.minimum(d, np.where(has, dist, np.inf), out=d)
+        bordering each path's flat cell cy * nx + cx; inf where the cell has
+        no kill wall."""
+        px, mx, py, my = (g.take(cell) for g in self.ghost)
+        d = np.minimum(np.minimum(px - fx, fx - mx),
+                       np.minimum(py - fy, fy - my))
         return d * self.h
 
 
@@ -322,6 +361,48 @@ def _free_step(kern: _Kernel, fx, fy, cx, cy, margin):
     return nx_, ny_, slow
 
 
+def _step(kern: _Kernel, fx, fy, cx, cy, z, u, slot, sigma: float,
+          dt: float, bridge: bool):
+    """One Euler step of the paths in (fx, fy, cx, cy): the step rule.
+
+    z holds the paths' two normals (float32), u the step's uniforms for
+    every batch slot and slot the paths' slots.  Moves fx, fy in place and
+    returns the new cells (cx, cy), a mask of the paths killed on the step
+    (beyond a ghost line, or by the bridge correction), the number of
+    path-steps that went through the cell walk and the stragglers.
+    """
+    nx, code = kern.nx, kern.code
+    cell = cy * nx + cx
+    if bridge:
+        wi = np.flatnonzero(code.take(cell) >> 4)  # any Dirichlet wall
+        d1 = kern.kill_distance(fx[wi], fy[wi], cell.take(wi))
+    # float64 products: float32 * sigma would round in float32
+    fx += np.multiply(z[0], sigma, dtype=float)
+    fy += np.multiply(z[1], sigma, dtype=float)
+
+    nx_, ny_, slow = _free_step(kern, fx, fy, cx, cy,
+                                kern.margin.ravel().take(cell))
+    dead = np.zeros(fx.size, dtype=bool)
+    lost = 0
+    if slow.size:
+        sfx, sfy, scx, scy = fx[slow], fy[slow], cx[slow], cy[slow]
+        killed, lost = _resolve_step(kern, sfx, sfy, scx, scy)
+        fx[slow], fy[slow] = sfx, sfy
+        nx_[slow], ny_[slow] = scx, scy
+        dead[slow[killed]] = True
+
+    if bridge and wi.size:
+        end = ny_.take(wi) * nx + nx_.take(wi)
+        both = ~dead[wi] & ((code.take(end) >> 4) != 0)
+        wi, d1 = wi[both], d1[both]
+        prod = d1 * kern.kill_distance(fx[wi], fy[wi], end[both])
+        cand = prod < _BRIDGE_CUTOFF * dt
+        if cand.any():
+            wc = wi[cand]
+            dead[wc[u[slot[wc]] < np.exp(-prod[cand] / dt)]] = True
+    return nx_, ny_, dead, slow.size, lost
+
+
 @dataclass
 class _Walk:
     """Batch-reduced outputs of one walk."""
@@ -329,6 +410,7 @@ class _Walk:
     surv: np.ndarray      # (checkpoints, starts) live-path counts
     fk_sum: float
     fk_sumsq: float
+    flown: int            # path-steps taken in free flight
     resolved: int         # path-steps that went through _resolve_step
     stragglers: int       # path-steps _resolve_step settled on their cell
 
@@ -342,63 +424,93 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
     uniform, always in that order and drawn for dead slots too while any
     path lives, so every estimator mode sees identical trajectories.  The
     working arrays hold live paths only; `slot` maps them back to their
-    batch slots.
+    batch slots.  The batch advances in chunks of up to _CHUNK steps that
+    end at every checkpoint: paths that stay clear of every non-free cell
+    fly through a chunk, the others are replayed step by step (see the
+    module docstring).
     """
     size = sid.size
-    chunks = NormalChunks()
     sigma = math.sqrt(2.0 * dt) / kern.h  # per-coordinate, lattice units
     fx, fy, cx, cy = (a[sid] for a in starts)
     slot = np.arange(size)
     ck = {int(s): i for i, s in enumerate(checkpoints)}
+    ends = sorted({s for s in ck if 0 < s < n_steps} | {n_steps})
     surv = np.zeros((len(ck), starts[0].size))
     bridge = bridge and kern.any_dirichlet
-    # per-cell tables, read through flat cell indices cy * nx + cx
-    nx = kern.nx
-    margin = kern.margin.ravel()
-    code = kern.code
-    resolved = stragglers = 0
+    z = np.empty((_CHUNK, 2, size), dtype=np.float32)
+    u = np.empty((_CHUNK, size))
+    zs, bm_u, bm_v = (np.empty(m, dtype=np.float32)
+                      for m in (2 * size, size, size))
+    flown = resolved = stragglers = 0
 
-    for step in range(1, n_steps + 1):
-        if not slot.size:
-            break  # later draws would feed no path
-        z = chunks.draw(rng, 2, size, 1, 1.0)[:, :, 0].astype(float)
-        u = rng.random(size)  # always drawn: keeps kill modes aligned
-        if slot.size < size:
-            z = z.take(slot, axis=1)
-        cell = cy * nx + cx
-        if bridge:
-            wi = np.flatnonzero(code.take(cell) >> 4)  # any Dirichlet wall
-            d1 = kern.kill_distance(fx[wi], fy[wi], cx[wi], cy[wi])
-        fx += sigma * z[0]
-        fy += sigma * z[1]
+    step = 0
+    for end in ends:
+        while step < end and slot.size:  # later draws would feed no path
+            k = min(_CHUNK, end - step)
+            n = slot.size
+            for i in range(k):  # per step: two normals, then one uniform
+                if n == size:
+                    fill_normals(rng, z[i].reshape(-1), bm_u, bm_v)
+                else:  # keep the live paths' normals only; "clip" (the
+                    # slots are in range) writes to out without a buffer
+                    fill_normals(rng, zs, bm_u, bm_v)
+                    np.take(zs.reshape(2, size), slot, axis=1,
+                            out=z[i, :, :n], mode="clip")
+                rng.random(out=u[i])
+            zl = z[:k, :, :n]
 
-        nx_, ny_, slow = _free_step(kern, fx, fy, cx, cy, margin.take(cell))
-        dead = np.zeros(slot.size, dtype=bool)
-        if slow.size:
-            resolved += slow.size
-            sfx, sfy, scx, scy = fx[slow], fy[slow], cx[slow], cy[slow]
-            killed, lost = _resolve_step(kern, sfx, sfy, scx, scy)
-            stragglers += lost
-            fx[slow], fy[slow] = sfx, sfy
-            nx_[slow], ny_[slow] = scx, scy
-            dead[slow[killed]] = True
-        cx, cy = nx_, ny_
+            # free flight: the step rule's float64 additions, and the
+            # excursion along each axis
+            gx, gy = fx.copy(), fy.copy()
+            hix, hiy = np.full((2, n), -np.inf)
+            lox, loy = np.full((2, n), np.inf)
+            for i in range(k):
+                gx += np.multiply(zl[i, 0], sigma, dtype=float)
+                gy += np.multiply(zl[i, 1], sigma, dtype=float)
+                np.maximum(hix, gx, out=hix)
+                np.minimum(lox, gx, out=lox)
+                np.maximum(hiy, gy, out=hiy)
+                np.minimum(loy, gy, out=loy)
+            room = kern.room.take(cy * kern.nx + cx)
+            hx, hy = gx - 0.5, gy - 0.5
+            tx, ty = np.floor(hx), np.floor(hy)
+            flies = ((hix - cx < room) & (cx - lox < room)
+                     & (hiy - cy < room) & (cy - loy < room)
+                     & (tx != hx) & (ty != hy))  # no half-cell tie
+            rep = np.flatnonzero(~flies)
+            flown += (n - rep.size) * k
+            ncx, ncy = tx.astype(np.int64) + 1, ty.astype(np.int64) + 1
 
-        if bridge and wi.size:
-            both = ~dead[wi] & ((code.take(cy[wi] * nx + cx[wi]) >> 4) != 0)
-            wi, d1 = wi[both], d1[both]
-            prod = d1 * kern.kill_distance(fx[wi], fy[wi], cx[wi], cy[wi])
-            cand = prod < _BRIDGE_CUTOFF * dt
-            if cand.any():
-                wc = wi[cand]
-                dead[wc[u[slot[wc]] < np.exp(-prod[cand] / dt)]] = True
-        if dead.any():
-            keep = np.flatnonzero(~dead)
-            fx, fy, cx, cy, slot = (a.take(keep) for a in (fx, fy, cx, cy,
-                                                           slot))
-        if step in ck:
-            surv[ck[step]] = np.bincount(sid.take(slot),
-                                         minlength=surv.shape[1])
+            # the others, step by step from the chunk's start
+            dead = np.zeros(n, dtype=bool)
+            if rep.size:
+                dead[rep] = True
+                rfx, rfy, rcx, rcy, rslot = (a.take(rep) for a in
+                                             (fx, fy, cx, cy, slot))
+                for i in range(k):
+                    rcx, rcy, died, walked, lost = _step(
+                        kern, rfx, rfy, rcx, rcy, zl[i].take(rep, axis=1),
+                        u[i], rslot, sigma, dt, bridge)
+                    resolved += walked
+                    stragglers += lost
+                    if died.any():
+                        live = np.flatnonzero(~died)
+                        rep, rfx, rfy, rcx, rcy, rslot = (
+                            a.take(live) for a in (rep, rfx, rfy, rcx, rcy,
+                                                   rslot))
+                        if not rep.size:
+                            break
+                gx[rep], gy[rep], ncx[rep], ncy[rep] = rfx, rfy, rcx, rcy
+                dead[rep] = False
+            fx, fy, cx, cy = gx, gy, ncx, ncy
+            if dead.any():
+                keep = np.flatnonzero(~dead)
+                fx, fy, cx, cy, slot = (a.take(keep) for a in (fx, fy, cx, cy,
+                                                               slot))
+            step += k
+        if end in ck:
+            surv[ck[end]] = np.bincount(sid.take(slot),
+                                        minlength=surv.shape[1])
 
     fk_sum = fk_sumsq = 0.0
     if fk_grid is not None:
@@ -407,7 +519,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
         vals[slot] = _bilinear(kern, fk_grid, fx, fy)
         fk_sum = float(vals.sum())
         fk_sumsq = float((vals * vals).sum())
-    return _Walk(surv, fk_sum, fk_sumsq, resolved, stragglers)
+    return _Walk(surv, fk_sum, fk_sumsq, flown, resolved, stragglers)
 
 
 def _bilinear(kern: _Kernel, grid, fx, fy):
@@ -430,9 +542,10 @@ def _walk(kern: _Kernel, cfg: PathConfig, starts, n_steps: int, dt: float,
     (_Kernel.start_table) in BATCH_PATHS batches.
 
     The layout is start-major, path = start * cfg.n_paths + j.  Batches are
-    keyed by (seed, batch) and reduced in batch order.  The stragglers
-    summed over the batches, the same at any worker count, are logged at
-    DEBUG to the "eigenwalk" logger.
+    keyed by (seed, batch) and reduced in batch order.  The path-steps in
+    free flight and through the cell walk and the stragglers, summed over
+    the batches and the same at any worker count, are logged at DEBUG to
+    the "eigenwalk" logger.
     """
     n_total = cfg.n_paths * starts[0].size
     los = range(0, n_total, BATCH_PATHS)
@@ -447,12 +560,14 @@ def _walk(kern: _Kernel, cfg: PathConfig, starts, n_steps: int, dt: float,
     walk = _Walk(surv=sum(p.surv for p in parts),
                  fk_sum=sum(p.fk_sum for p in parts),
                  fk_sumsq=sum(p.fk_sumsq for p in parts),
+                 flown=sum(p.flown for p in parts),
                  resolved=sum(p.resolved for p in parts),
                  stragglers=sum(p.stragglers for p in parts))
     _log.debug("lattice walk: %d paths from %d starts, %d steps of "
-               "dt=%.3g, %d path-steps through the cell walk, %d stragglers "
-               "settled on their cell", n_total, starts[0].size, n_steps, dt,
-               walk.resolved, walk.stragglers)
+               "dt=%.3g, %d path-steps in free flight, %d path-steps through "
+               "the cell walk, %d stragglers settled on their cell", n_total,
+               starts[0].size, n_steps, dt, walk.flown, walk.resolved,
+               walk.stragglers)
     return walk
 
 

@@ -334,7 +334,8 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
     the sizes and sigma) is logged at DEBUG to the "eigenwalk" logger.  A
     block whose Lanczos run does not converge raises SpectralError naming
     the block.  Residuals are measured on the full B either way; if any
-    misses residual_tol * (1 + lam), raises SpectralError quoting it.
+    misses residual_tol * (1 + lam), or is NaN, raises SpectralError
+    quoting it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -388,7 +389,7 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
 
     res = _residuals(B, lam, U)
     worst = float(np.max(res / (1.0 + np.abs(lam))))
-    if worst > residual_tol:
+    if not worst <= residual_tol:
         j = int(np.argmax(res / (1.0 + np.abs(lam))))
         raise SpectralError(
             f"eigensolve residual {res[j]:.3e} at eigenvalue {lam[j]:.6g} "

@@ -1,8 +1,9 @@
 """Independent reference implementations used to validate package code.
 
-Everything here is deliberately written the slow, obvious way, sharing no
-code with the package: closed forms where they exist, O(n^2) scans where
-they do not.
+Everything here is deliberately written the slow, obvious way: closed
+forms where they exist, O(n^2) scans where they do not.  Only walk_batch
+shares code with the package, its cell walk and its normal draws, because
+it checks how the walker schedules steps, not the step rule itself.
 """
 
 import math
@@ -183,3 +184,72 @@ def fix_signs(iy, ix, bc_mode, fields):
             flip = first < 0
         if flip:
             v *= -1.0
+
+
+def kill_distance(kern, fx, fy, cx, cy):
+    """Distance (physical units) to the nearest Dirichlet ghost line
+    bordering each path's cell, by a loop over the four directions of the
+    walker's threshold table (1 where that side kills); inf where none."""
+    d = np.full(fx.shape, np.inf)
+    cell = cy * kern.nx + cx
+    for dir_, (axis, sgn) in enumerate(((0, 1), (0, -1), (1, 1), (1, -1))):
+        f, c = (fx, cx) if axis == 0 else (fy, cy)
+        has = kern.thr[dir_][cell] == 1.0
+        dist = (c + sgn) - f if sgn > 0 else f - (c + sgn)
+        d = np.minimum(d, np.where(has, dist, np.inf))
+    return d * kern.h
+
+
+def walk_batch(kern, rng, starts, sid, n_steps, dt, bridge, checkpoints=(),
+               fk_grid=None):
+    """One walker batch, one step at a time, every path through the
+    package's cell walk (`brownian._resolve_step`, itself checked against
+    resolve_step above): the per-step loop the chunked walk must reproduce
+    bit for bit.
+
+    Per step and batch slot it draws two normals (`_rng.NormalChunks`) and
+    one uniform, dead slots included, while any path lives; kills beyond
+    ghost lines and by the bridge correction, exp(-d1 d2 / dt) against the
+    slot's uniform for paths whose cells border a Dirichlet wall before and
+    after the step.  Returns (survival counts per checkpoint and start,
+    sum and sum of squares of fk_grid read bilinearly at the live paths'
+    ends in slot order, stragglers).
+    """
+    from eigenwalk._rng import NormalChunks
+    from eigenwalk.brownian import _bilinear, _resolve_step
+
+    size = sid.size
+    chunks = NormalChunks()
+    sigma = math.sqrt(2.0 * dt) / kern.h
+    fx, fy, cx, cy = (np.array(a[sid]) for a in starts)
+    slot = np.arange(size)
+    ck = {int(s): i for i, s in enumerate(checkpoints)}
+    surv = np.zeros((len(ck), starts[0].size))
+    bridge = bridge and kern.any_dirichlet
+    stragglers = 0
+    for step in range(1, n_steps + 1):
+        if not slot.size:
+            break
+        z = chunks.draw(rng, 2, size, 1, 1.0)[:, :, 0].astype(float)[:, slot]
+        u = rng.random(size)
+        dirichlet = (kern.code[cy * kern.nx + cx] >> 4) != 0
+        d1 = kill_distance(kern, fx, fy, cx, cy)
+        fx = fx + sigma * z[0]
+        fy = fy + sigma * z[1]
+        killed, lost = _resolve_step(kern, fx, fy, cx, cy)
+        stragglers += lost
+        dead = killed.copy()
+        if bridge:
+            after = (kern.code[cy * kern.nx + cx] >> 4) != 0
+            prod = d1 * kill_distance(kern, fx, fy, cx, cy)
+            hit = dirichlet & after & ~killed & (prod < 45.0 * dt)
+            dead |= hit & (u[slot] < np.exp(-np.where(hit, prod, 0.0) / dt))
+        fx, fy, cx, cy, slot = (a[~dead] for a in (fx, fy, cx, cy, slot))
+        if step in ck:
+            surv[ck[step]] = np.bincount(sid[slot], minlength=surv.shape[1])
+    fk_sum = fk_sumsq = 0.0
+    if fk_grid is not None:
+        vals = np.zeros(size)
+        vals[slot] = _bilinear(kern, fk_grid, fx, fy)
+        fk_sum, fk_sumsq = float(vals.sum()), float((vals * vals).sum())
+    return surv, fk_sum, fk_sumsq, stragglers

@@ -235,6 +235,52 @@ def test_free_step_matches_resolve_step(doms):
     assert np.array_equal(ry[fast], fy[fast])
 
 
+WALK_CASES = {  # domain, kernel bc_mode, start, dt, bridge
+    "square": ("square32", "mixed", (0.06, 0.45), 2e-4, True),
+    "square_no_bridge": ("square32", "mixed", (0.06, 0.45), 2e-4, False),
+    "neumann": ("neumann", "mixed", (0.2, 0.35), 1e-3, True),
+    "mixed": ("mixed", "mixed", (0.3, 0.5), 2.5e-3, True),
+    "dumbbell_neck": ("dumbbell", "mixed", (1.1, 0.5), 1.5e-3, True),
+    # steps of 10 cells rms: the last paths die inside a chunk
+    "square_all_die": ("square32", "mixed", (0.3, 0.45), 0.05, True),
+}
+
+
+@pytest.mark.parametrize("key", list(WALK_CASES))
+def test_walk_matches_reference_walk(doms, key):
+    """_walk_batch, which flies paths through chunks of free cells and
+    replays the others, against the step-by-step reference walk: the same
+    survival counts at every step and at checkpoints that end no chunk
+    (5 and 13), the same stragglers, and the same sums of a random field
+    read at the live paths' ends, bit for bit.  1001 paths from three
+    starts, two near a wall and one a quarter farther in, over 21 steps:
+    neither count is a multiple of the chunk length."""
+    name, bc, start, dt, bridge = WALK_CASES[key]
+    dom = rect(1.0, 1.0, 32, "dirichlet") if name == "square32" \
+        else doms[name]
+    kern = B._Kernel(dom, bc)
+    x0, y0 = start
+    starts = kern.start_table([start, (x0 + 0.25, y0), (x0, y0 + 0.03)])
+    sid = np.arange(1001) % 3
+    field = np.random.default_rng(9).random(dom.mask.shape)
+    n_steps = 21
+    for ck in (range(1, n_steps + 1), (5, 13, n_steps)):
+        want = oracles.walk_batch(kern, B.batch_rng(17, B._WALK_STREAM, 0),
+                                  starts, sid, n_steps, dt, bridge, ck, field)
+        got = B._walk_batch(kern, B.batch_rng(17, B._WALK_STREAM, 0), starts,
+                            sid, n_steps, dt, bridge, ck, field)
+        assert np.array_equal(got.surv, want[0])
+        assert (got.fk_sum, got.fk_sumsq, got.stragglers) == want[1:]
+        if len(ck) == n_steps:
+            alive = want[0].sum(axis=1)
+    if key == "square_all_die":
+        # the last paths die inside the chunk of steps 14-21
+        assert 13 < 1 + int(np.argmax(alive == 0)) < n_steps
+    else:
+        assert 0 < alive[-1] and got.flown > 0
+        assert (alive[-1] < 1001) == (name != "neumann")
+
+
 ORACLE_CASES = {  # domain, kernel bc_mode, walls in +x, -x, +y, -y
     "mixed": ("mixed", "mixed", ("dirichlet",) * 2 + ("neumann",) * 2),
     "neumann_box": ("neumann", "mixed", ("neumann",) * 4),
@@ -395,6 +441,34 @@ def test_cell_walk_steps_counted(doms, caplog):
             counts += _cell_walk_steps(caplog)
     assert counts[0] == counts[1]
     assert 0 < counts[0] < 20 * N_PINNED
+
+
+def _flown_steps(caplog):
+    """Path-steps in free flight of the lattice walks logged since the last
+    clear."""
+    return [int(r.getMessage().split(", ")[-3].split()[0])
+            for r in caplog.records
+            if r.getMessage().startswith("lattice walk:")]
+
+
+def test_free_flight_steps_counted(caplog):
+    """The walk logs how many path-steps flew through chunks of free
+    cells, next to those through the cell walk, summed over its batches.
+    On the walker-survival square (Dirichlet, h = 1/32, dt = 2e-4, from the
+    centre) most path-steps fly, the same number at 1 and 2 workers, and
+    no path-step is counted twice."""
+    sq = rect(1.0, 1.0, 32, "dirichlet")
+    cfg = B.PathConfig(t_max=0.01, n_paths=N_PINNED, dt=2e-4, seed=3)
+    counts = []
+    with caplog.at_level(logging.DEBUG, logger="eigenwalk"):
+        for threads in (1, 2):
+            caplog.clear()
+            B.survival_probability(sq, (0.5, 0.5), 0.01, cfg, threads=threads)
+            counts += zip(_flown_steps(caplog), _cell_walk_steps(caplog))
+    assert len(counts) == 2 and counts[0] == counts[1]
+    flown, walked = counts[0]
+    assert 0.9 * 50 * N_PINNED < flown
+    assert flown + walked <= 50 * N_PINNED
 
 
 def test_no_step_jumps_a_wall():

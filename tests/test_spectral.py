@@ -362,6 +362,23 @@ class TestEigsContract:
         with pytest.raises(SpectralError, match="residual"):
             solve_eigs(op, k=3, seed=0, residual_tol=1e-30)
 
+    def test_nan_residual_refused(self, monkeypatch):
+        """A Ritz vector with a NaN entry fails the residual certificate.
+        NaN compares false with any bound, so a test written as
+        `worst > residual_tol` let it through with NaN residuals and NaN
+        eigenfields."""
+        op = assemble_laplacian(rect(resolution=32), "dirichlet")
+        real = spectral.eigsh
+
+        def eigsh(A, k, **kw):
+            w, V = real(A, k, **kw)
+            V[0, 0] = np.nan
+            return w, V
+
+        monkeypatch.setattr(spectral, "eigsh", eigsh)
+        with pytest.raises(SpectralError, match="eigensolve residual nan"):
+            solve_eigs(op, k=4, seed=0)
+
 
 def _routes(caplog):
     """The solve_eigs route lines logged since the last clear."""
