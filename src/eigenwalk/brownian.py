@@ -29,11 +29,11 @@ limited; a path still moving after _MAX_FOLDS folds settles on the node
 of the cell it has reached, and the estimate's bias note counts such
 path-steps.  Most paths are far from any wall, and for them the walk only
 crosses free cells (active, with four active neighbours).  Each cell's
-margin, the chessboard distance to the nearest cell that is not free,
-tells when that holds: a path whose destination is free and no farther
-from its start cell than that cell's margin, such as a move of one cell
-between two free cells, moves straight there (the fast path,
-`_free_step`).  Every other path goes through the cell walk, and the
+clearance (`_Kernel.clear`), the chessboard distance to the nearest cell
+that is not free, tells when that holds: a path whose destination is free
+and no farther from its start cell than that cell's clearance, such as a
+move of one cell between two free cells, moves straight there (the fast
+path, `_free_step`).  Every other path goes through the cell walk, and the
 walk's DEBUG line counts those path-steps.
 
 The pass order is part of the rule, and it breaks mirror symmetry where a
@@ -50,19 +50,18 @@ checkpoint and at the horizon.  A chunk draws its steps' randomness in the
 order below and runs every live path's position through them with the
 same float64 additions a step makes, keeping the largest and smallest
 coordinate along each axis.  A path flies through the chunk when that
-excursion from its chunk-start cell's node stays below the cell's room
-(`_Kernel.room`: the uncapped chessboard distance to the nearest cell that
-is not free, less 1/2) on both axes, and its last position is no
-half-cell tie.  Then every cell the step rule would visit lies closer to
-the start cell than that distance and is free: open on all four sides,
-with no Dirichlet bit, so no kill, fold or bridge test touches the path
-and no step moves its position.  It ends on its last position and that
+excursion from its chunk-start cell's node stays below the cell's
+clearance less 1/2 on both axes, and its last position is no half-cell
+tie.  Then every cell the step rule would visit lies closer to the start
+cell than the clearance and is free: open on all four sides, with no
+Dirichlet bit, so no kill, fold or bridge test touches the path and no
+step moves its position.  It ends on its last position and that
 position's cell, floor(f - 1/2) + 1 per axis, as step by step.  The test
 is computed in floating point, but rounding is monotone, so a computed
-excursion below the room is an exact one.  Every other path is replayed
-step by step from the chunk's saved draws through the step rule (`_step`,
-the one place it is written) and put back in its slot.  The DEBUG line
-counts the path-steps in flight too.
+excursion below clearance - 1/2 is an exact one.  Every other path is
+replayed step by step from the chunk's saved draws through the step rule
+(`_step`, the one place it is written) and put back in its slot.  The
+DEBUG line counts the path-steps in flight too.
 
 Between-step absorption is recovered by the Brownian bridge correction: a
 step ending at distances d1, d2 from a kill line registers a crossing with
@@ -217,8 +216,8 @@ class _Kernel:
     before that direction acts.  It is 1/2 toward an open neighbour (walk
     one cell over), 1 at a Dirichlet wall (die past the ghost line) and 0
     at a Neumann wall (fold about the node line).  The bridge correction
-    reads the ghost lines (`ghost`), the free-flight test the room
-    (`room`) and the fast path the margin (`margin`).
+    reads the ghost lines (`ghost`), and the free-flight test and the
+    fast path the clearance (`clear`).
     """
 
     def __init__(self, dom: GridDomain, bc_mode: str):
@@ -240,17 +239,13 @@ class _Kernel:
         self.ghost = tuple(np.where(kills[dir_], (cx, cy)[axis] + sgn,
                                     sgn * np.inf)
                            for dir_, (axis, sgn) in enumerate(_DIRS))
-        # chessboard distance to the nearest cell that is inactive or lacks
-        # an active neighbour.  A path that strays less than room from its
-        # cell's node, room = that distance - 1/2, crosses only free cells
-        # (see _walk_batch).  Capped at _MAX_FOLDS it is the margin: a step
-        # to a cell no farther than this crosses only free cells (see
-        # _free_step); longer steps take the cell walk, which ends in the
-        # same place
-        clear = ndimage.distance_transform_cdt(code == _FREE,
-                                               metric="chessboard")
-        self.room = clear.ravel() - 0.5
-        self.margin = np.minimum(clear, _MAX_FOLDS)
+        # the clearance: chessboard distance to the nearest cell that is
+        # inactive or lacks an active neighbour.  A path that strays less
+        # than clear - 1/2 from its cell's node (see _walk_batch), or steps
+        # to a free cell no farther than clear (see _free_step), crosses
+        # only free cells
+        self.clear = ndimage.distance_transform_cdt(
+            code == _FREE, metric="chessboard").ravel()
 
     def start_table(self, points):
         """(fx, fy, cx, cy) arrays of shape (S,) for S start points; raises
@@ -331,7 +326,7 @@ def _resolve_step(kern: _Kernel, fx, fy, cx, cy):
     return killed, stragglers
 
 
-def _free_step(kern: _Kernel, fx, fy, cx, cy, margin):
+def _free_step(kern: _Kernel, fx, fy, cx, cy, clear):
     """Free-cell fast path: the cells proposals (fx, fy) from cells
     (cx, cy) settle in, and the indices of the paths it does not cover.
 
@@ -341,23 +336,24 @@ def _free_step(kern: _Kernel, fx, fy, cx, cy, margin):
     toward the next and the destination is free, that is all it does: it
     never folds, it leaves the position alone, and its last pass finds
     nothing to do.  A destination whose chessboard distance from the start
-    cell is at most the start cell's margin, and which is itself free,
+    cell is at most the start cell's clearance, and which is itself free,
     guarantees that.  The walk steps at most one cell per axis and pass, x
-    first, so every cell it passes lies closer than the margin and is free,
-    except the cell it enters the destination from when the destination is
-    the margin away along both axes; there the side it came from is open,
-    and it steps on along y.  This covers a move of one cell from a free
-    cell into a free cell.  Ties, with f - 1/2 integral, stay on the start
-    cell's side and are left out.
+    first, so every cell it passes lies closer than the clearance and is
+    free, except the cell it enters the destination from when the
+    destination is the clearance away along both axes; there the side it
+    came from is open, and it steps on along y.  This covers a move of one
+    cell from a free cell into a free cell.  Ties, with f - 1/2 integral,
+    stay on the start cell's side and are left out.
     """
     gx, gy = fx - 0.5, fy - 0.5
     tx, ty = np.floor(gx), np.floor(gy)
     nx_ = tx.astype(np.int64) + 1
     ny_ = ty.astype(np.int64) + 1
     reach = np.maximum(np.abs(nx_ - cx), np.abs(ny_ - cy))
-    # far proposals point off the grid; their reach exceeds any margin
+    # far proposals point off the grid; edge cells are never free, so their
+    # reach exceeds the start cell's clearance
     free = kern.code.take(ny_ * kern.nx + nx_, mode="clip") == _FREE
-    slow = np.flatnonzero((reach > margin) | ~free | (tx == gx) | (ty == gy))
+    slow = np.flatnonzero((reach > clear) | ~free | (tx == gx) | (ty == gy))
     return nx_, ny_, slow
 
 
@@ -380,8 +376,7 @@ def _step(kern: _Kernel, fx, fy, cx, cy, z, u, slot, sigma: float,
     fx += np.multiply(z[0], sigma, dtype=float)
     fy += np.multiply(z[1], sigma, dtype=float)
 
-    nx_, ny_, slow = _free_step(kern, fx, fy, cx, cy,
-                                kern.margin.ravel().take(cell))
+    nx_, ny_, slow = _free_step(kern, fx, fy, cx, cy, kern.clear.take(cell))
     dead = np.zeros(fx.size, dtype=bool)
     lost = 0
     if slow.size:
@@ -471,7 +466,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
                 np.minimum(lox, gx, out=lox)
                 np.maximum(hiy, gy, out=hiy)
                 np.minimum(loy, gy, out=loy)
-            room = kern.room.take(cy * kern.nx + cx)
+            room = kern.clear.take(cy * kern.nx + cx) - 0.5
             hx, hy = gx - 0.5, gy - 0.5
             tx, ty = np.floor(hx), np.floor(hy)
             flies = ((hix - cx < room) & (cx - lox < room)

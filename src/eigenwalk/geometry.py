@@ -25,7 +25,7 @@ order on curved ones: mu_2 of the unit Neumann disk is +4.25% above
 
 Parametric families: rectangle, disk, dumbbell (two lobes joined by a
 centered neck), octopus (disk body with protruding rectangular tentacles),
-annulus, l_shape, plus custom_mask for user-supplied rasters.
+annulus, l_shape, plus custom_mask for a mask given as rows of characters.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import ndimage
@@ -524,16 +524,11 @@ def _build_l_shape(spec: DomainSpec):
 
 
 def _build_custom(spec: DomainSpec):
-    rows, pgm, cell = _params(spec, rows=None, pgm=None, cell_size=1.0 / 64)
-    if (rows is None) == (pgm is None):
-        raise DomainError("custom_mask needs exactly one of 'rows' or 'pgm'")
-    if pgm is not None:
-        mask = read_pgm(pgm)
-    else:
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise DomainError("custom_mask rows must be nonempty, equal length")
-        grid = [[ch in "1#xX" for ch in r] for r in reversed(rows)]
-        mask = np.array(grid, dtype=bool)
+    rows, cell = _params(spec, rows=None, cell_size=1.0 / 64)
+    if not rows or any(len(r) != len(rows[0]) for r in rows):
+        raise DomainError("custom_mask rows must be nonempty, equal length")
+    grid = [[ch in "1#xX" for ch in r] for r in reversed(rows)]
+    mask = np.array(grid, dtype=bool)
     bc = _BC_NAMES[spec.bc_default]
     return float(cell), (0.0, 0.0), mask, bc, {}
 
@@ -629,15 +624,6 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def dist_to_boundary(point: Sequence[float], dom: GridDomain) -> float:
-    """Euclidean distance from an inside point to the boundary polygon."""
-    x, y = float(point[0]), float(point[1])
-    if not dom.contains(x, y):
-        raise DomainError(f"point ({x}, {y}) is outside the domain")
-    segs = dom.wall_segments()
-    return float(np.min(_point_segment_dist(np.array([x, y]), segs)))
-
-
 def _point_segment_dist(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
     """Distances from points (..., 2) to segments (x1, y1, x2, y2) (..., 4),
     elementwise over the broadcast leading axes."""
@@ -660,15 +646,6 @@ class LevelSetGeometry:
     level_eta: float
     polylines: list  # list of (m_i, 2) float arrays, physical coordinates
     superlevel_mask: np.ndarray  # |field|/max >= eta, active nodes only
-    components: np.ndarray  # 4-connected labeling of superlevel_mask, 0 = off
-
-    @property
-    def n_components(self) -> int:
-        return int(self.components.max())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.polylines
 
 
 # marching squares: per corner pattern, the pairs of cell edges its segments
@@ -710,8 +687,6 @@ def extract_level_set(dom: GridDomain, field: np.ndarray, eta: float) -> LevelSe
     g = np.where(dom.mask, np.abs(field) / peak, 0.0)
 
     superlevel = dom.mask & (g >= eta)
-    components, _ = ndimage.label(superlevel, structure=_FOUR_CONN)
-
     segments = _march_cells(dom, g, eta)
     polylines = _chain_segments(segments, tol=1e-9 * dom.h)
     if not polylines:
@@ -724,7 +699,7 @@ def extract_level_set(dom: GridDomain, field: np.ndarray, eta: float) -> LevelSe
             xs, ys = dom.node_xy(iy, ix)
             polylines = [np.array([[x, y]]) for x, y in zip(xs, ys)]
     return LevelSetGeometry(level_eta=eta, polylines=polylines,
-                            superlevel_mask=superlevel, components=components)
+                            superlevel_mask=superlevel)
 
 
 def _march_cells(dom: GridDomain, g: np.ndarray, eta: float) -> np.ndarray:
@@ -908,70 +883,3 @@ def _crosses(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     o3 = orient(b1, b2, a1)
     o4 = orient(b1, b2, a2)
     return (o1 * o2 < 0) & (o3 * o4 < 0)
-
-
-# ---------------------------------------------------------------------------
-# raster I/O
-
-def write_pgm(path, image: np.ndarray) -> None:
-    """Binary PGM (P5), one byte per node.  A boolean mask is written as
-    255 = active, 0 = inactive; a uint8 image as it is.  Rows are written
-    image-style: the top file row is the largest y."""
-    if image.dtype == bool:
-        image = np.where(image, 255, 0).astype(np.uint8)
-    data = image[::-1]
-    ny, nx = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary (P5) or ascii (P2) PGM mask written by write_pgm.
-
-    Returns a boolean lattice-ordered array (row 0 is the smallest y);
-    values above 127 count as active.  Inverse of write_pgm.  Raises
-    ValueError naming the problem for an empty file, a short or malformed
-    header, too few pixels, or an ascii sample above maxval.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob:
-        raise ValueError(f"{path}: empty file, not a PGM image")
-    fields: list[bytes] = []
-    i = 0
-    while len(fields) < 4 and i < len(blob):
-        while i < len(blob) and blob[i:i + 1].isspace():
-            i += 1
-        if blob[i:i + 1] == b"#":
-            while i < len(blob) and blob[i] != 0x0A:
-                i += 1
-            continue
-        j = i
-        while j < len(blob) and not blob[j:j + 1].isspace():
-            j += 1
-        if j > i:
-            fields.append(blob[i:j])
-        i = j
-    magic = fields[0] if fields else b""
-    if magic not in (b"P5", b"P2"):
-        raise ValueError(f"not a PGM file: magic {magic!r}")
-    if len(fields) < 4 or not all(f.isdigit() for f in fields[1:]):
-        raise ValueError(f"{path}: short or malformed PGM header "
-                         f"{b' '.join(fields)!r}; need magic, width, "
-                         f"height and maxval")
-    w, hgt, maxv = (int(f) for f in fields[1:])
-    if maxv > 255:
-        raise ValueError("16-bit PGM not supported")
-    if magic == b"P5":
-        i += 1  # single whitespace after maxval
-        raw = np.frombuffer(blob[i:i + w * hgt], dtype=np.uint8)
-    else:
-        raw = np.array(blob[i:].split()[: w * hgt], dtype=np.int64)
-        if raw.size and raw.max() > maxv:
-            raise ValueError(f"{path}: P2 sample {raw.max()} exceeds maxval "
-                             f"{maxv}")
-    if raw.size < w * hgt:
-        raise ValueError(f"{path}: truncated PGM data, {raw.size} of "
-                         f"{w} x {hgt} = {w * hgt} pixels")
-    return (raw.reshape(hgt, w) > 127)[::-1]

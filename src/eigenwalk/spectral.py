@@ -31,7 +31,7 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
 from .geometry import (GridDomain, _masses, _quarter_presence, diameter,
-                       lattice_convex, write_pgm)
+                       lattice_convex)
 
 __all__ = [
     "SpectralError",
@@ -45,7 +45,6 @@ __all__ = [
     "survival_profile",
     "classical_bounds",
     "zeta_bound",
-    "write_field_pgm",
     "grid_hash",
 ]
 
@@ -550,18 +549,3 @@ def grid_hash(dom: GridDomain) -> str:
     hsh.update(f"{dom.h!r};{dom.origin!r};{dom.mask.shape!r};".encode())
     hsh.update(np.packbits(dom.mask).tobytes())
     return hsh.hexdigest()[:16]
-
-
-def write_field_pgm(path, dom: GridDomain, field_grid) -> None:
-    """8-bit heatmap of a node field: active range mapped to 1..255,
-    off-domain pixels 0, top row = largest y (image convention)."""
-    f = np.asarray(field_grid, dtype=float)
-    lo = float(f[dom.mask].min()) if dom.mask.any() else 0.0
-    hi = float(f[dom.mask].max()) if dom.mask.any() else 0.0
-    span = hi - lo
-    if span <= 0:
-        levels = np.full(f.shape, 128.0)
-    else:
-        levels = 1.0 + 254.0 * (f - lo) / span
-    img = np.where(dom.mask, np.clip(np.rint(levels), 1, 255), 0)
-    write_pgm(path, img.astype(np.uint8))

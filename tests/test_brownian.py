@@ -223,7 +223,8 @@ def test_free_step_matches_resolve_step(doms):
     # exact ties f - 1/2 integral, which the walk breaks toward the start
     tie = rng.random(k.size) < 0.05
     fx[tie] = np.round(fx[tie]) + 0.5
-    nx_, ny_, slow = B._free_step(kern, fx, fy, cx, cy, kern.margin[cy, cx])
+    nx_, ny_, slow = B._free_step(kern, fx, fy, cx, cy,
+                                  kern.clear[cy * kern.nx + cx])
     fast = np.setdiff1d(np.arange(k.size), slow)
     assert fast.size > k.size // 3 and slow.size > k.size // 10
     rx, ry, rcx, rcy = fx.copy(), fy.copy(), cx.copy(), cy.copy()
@@ -281,6 +282,26 @@ def test_walk_matches_reference_walk(doms, key):
         assert (alive[-1] < 1001) == (name != "neumann")
 
 
+@pytest.mark.parametrize("key", ["square", "dumbbell_neck", "mixed"])
+def test_bridge_kills_a_superset_path_by_path(doms, key):
+    """The bridge correction only adds kills: on the same draws, a path
+    alive with it is alive without it at every step, and by the end it has
+    killed paths the ghost lines alone did not.  Each of the 4000 paths
+    has its own start, so the survival counts are its 0/1 alive flags."""
+    name, bc, start, dt, _ = WALK_CASES[key]
+    dom = rect(1.0, 1.0, 32, "dirichlet") if name == "square32" \
+        else doms[name]
+    kern = B._Kernel(dom, bc)
+    n, n_steps = 4000, 40
+    starts = kern.start_table([start] * n)
+    on, off = (B._walk_batch(kern, B.batch_rng(23, B._WALK_STREAM, 0), starts,
+                             np.arange(n), n_steps, dt, bridge,
+                             checkpoints=range(1, n_steps + 1)).surv
+               for bridge in (True, False))
+    assert (on <= off).all()
+    assert 0 < on[-1].sum() < off[-1].sum()
+
+
 ORACLE_CASES = {  # domain, kernel bc_mode, walls in +x, -x, +y, -y
     "mixed": ("mixed", "mixed", ("dirichlet",) * 2 + ("neumann",) * 2),
     "neumann_box": ("neumann", "mixed", ("neumann",) * 4),
@@ -326,7 +347,7 @@ def test_steps_match_reference_resolver(doms, key):
     for a, b in zip(got, want):
         assert np.array_equal(a[live], b[live])
     assert want_killed.any() == ("dirichlet" in walls)
-    margin = kern.margin[cy, cx]
+    margin = kern.clear[cy * kern.nx + cx]
     nx_, ny_, slow = B._free_step(kern, fx, fy, cx, cy, margin)
     fast = np.setdiff1d(np.arange(k.size), slow)
     assert fast.size > k.size // 10
@@ -509,11 +530,12 @@ def test_margin_cells_are_free(doms, key):
     # active with all four neighbours active, off-grid counting as inactive
     free = ndimage.binary_erosion(kern.mask,
                                   ndimage.generate_binary_structure(2, 1))
-    for iy, ix in zip(*np.nonzero(kern.margin)):
-        m = int(kern.margin[iy, ix])
+    margin = kern.clear.reshape(kern.mask.shape)
+    for iy, ix in zip(*np.nonzero(margin)):
+        m = int(margin[iy, ix])
         box = free[iy - m + 1: iy + m, ix - m + 1: ix + m]
         assert box.shape == (2 * m - 1, 2 * m - 1) and box.all()
-    assert 1 <= kern.margin.max() <= B._MAX_FOLDS
+    assert 1 <= margin.max()
 
 
 def resolve(kern, pos, prop):

@@ -30,7 +30,6 @@ from eigenwalk.spectral import (
     heat_semigroup,
     solve_eigs,
     survival_profile,
-    write_field_pgm,
     zeta_bound,
 )
 
@@ -721,20 +720,6 @@ class TestClosedForms:
 
 
 class TestExports:
-    def test_pgm_shape_and_range(self, tmp_path, sq128d):
-        p = tmp_path / "field.pgm"
-        write_field_pgm(p, sq128d.dom, sq128d.eigenfields[0])
-        raw = p.read_bytes()
-        header, rest = raw.split(b"\n", 1)
-        assert header == b"P5"
-        dims, rest = rest.split(b"\n", 1)
-        nx, ny = map(int, dims.split())
-        assert (ny, nx) == sq128d.dom.mask.shape
-        _, pixels = rest.split(b"\n", 1)
-        img = np.frombuffer(pixels, dtype=np.uint8).reshape(ny, nx)[::-1]
-        assert np.all(img[~sq128d.dom.mask] == 0)
-        assert img[sq128d.dom.mask].min() >= 1
-
     def test_grid_hash_sensitive_to_mask(self):
         a = rect(resolution=24)
         b = rect(resolution=25)
