@@ -434,8 +434,7 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
     bridge = bridge and kern.any_dirichlet
     z = np.empty((_CHUNK, 2, size), dtype=np.float32)
     u = np.empty((_CHUNK, size))
-    zs, bm_u, bm_v = (np.empty(m, dtype=np.float32)
-                      for m in (2 * size, size, size))
+    zs = np.empty(2 * size, dtype=np.float32)
     flown = resolved = stragglers = 0
 
     step = 0
@@ -445,10 +444,10 @@ def _walk_batch(kern: _Kernel, rng, starts, sid, n_steps: int, dt: float,
             n = slot.size
             for i in range(k):  # per step: two normals, then one uniform
                 if n == size:
-                    fill_normals(rng, z[i].reshape(-1), bm_u, bm_v)
+                    fill_normals(rng, z[i].reshape(-1))
                 else:  # keep the live paths' normals only; "clip" (the
                     # slots are in range) writes to out without a buffer
-                    fill_normals(rng, zs, bm_u, bm_v)
+                    fill_normals(rng, zs)
                     np.take(zs.reshape(2, size), slot, axis=1,
                             out=z[i, :, :n], mode="clip")
                 rng.random(out=u[i])

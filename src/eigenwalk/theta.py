@@ -347,18 +347,25 @@ def mc_exit_probability(n: int, c: float, n_paths: int, seed: int = 0,
     `threads` is the number of worker processes (_rng.map_batches); the
     same bits come out at any count.  Do not call this with threads > 1
     from more than one thread at once, since forking is not safe there.
+
+    The walk takes 1/dt_factor steps of dt_factor*t, so dt_factor must
+    divide 1: 0.07 would take 14 steps and stop at 0.98*t.
     """
-    if n < 1:
+    if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
     if not (0.0 < c < math.inf):
         raise ValueError("c must be positive and finite")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
+        raise ValueError("n_paths must be a positive integer")
     if not (0.0 < dt_factor <= 0.1):
         raise ValueError("dt_factor must be in (0, 0.1]")
+    n_steps = int(round(1.0 / dt_factor))
+    if abs(n_steps * dt_factor - 1.0) > 1e-9:
+        raise ValueError(f"dt_factor must be 1/N for an integer N: "
+                         f"{n_steps} steps of {dt_factor} end at "
+                         f"{n_steps * dt_factor:.6g}*t, not t")
     t = 1.0 / c
     dt = dt_factor * t
-    n_steps = int(round(1.0 / dt_factor))
 
     sizes = [min(BATCH_PATHS, n_paths - lo) for lo in range(0, n_paths, BATCH_PATHS)]
     parts = map_batches(

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way: closed
 forms where they exist, O(n^2) scans where they do not.  Only walk_batch
-shares code with the package, its cell walk and its normal draws, because
-it checks how the walker schedules steps, not the step rule itself.
+shares code with the package, its cell walk, because it checks how the
+walker schedules steps, not the step rule itself; its normals come from
+fill_normals here.
 """
 
 import math
@@ -207,7 +208,7 @@ def walk_batch(kern, rng, starts, sid, n_steps, dt, bridge, checkpoints=(),
     resolve_step above): the per-step loop the chunked walk must reproduce
     bit for bit.
 
-    Per step and batch slot it draws two normals (`_rng.NormalChunks`) and
+    Per step and batch slot it draws two normals (fill_normals below) and
     one uniform, dead slots included, while any path lives; kills beyond
     ghost lines and by the bridge correction, exp(-d1 d2 / dt) against the
     slot's uniform for paths whose cells border a Dirichlet wall before and
@@ -215,11 +216,10 @@ def walk_batch(kern, rng, starts, sid, n_steps, dt, bridge, checkpoints=(),
     sum and sum of squares of fk_grid read bilinearly at the live paths'
     ends in slot order, stragglers).
     """
-    from eigenwalk._rng import NormalChunks
     from eigenwalk.brownian import _bilinear, _resolve_step
 
     size = sid.size
-    chunks = NormalChunks()
+    pairs = np.empty(2 * size, dtype=np.float32)
     sigma = math.sqrt(2.0 * dt) / kern.h
     fx, fy, cx, cy = (np.array(a[sid]) for a in starts)
     slot = np.arange(size)
@@ -230,7 +230,8 @@ def walk_batch(kern, rng, starts, sid, n_steps, dt, bridge, checkpoints=(),
     for step in range(1, n_steps + 1):
         if not slot.size:
             break
-        z = chunks.draw(rng, 2, size, 1, 1.0)[:, :, 0].astype(float)[:, slot]
+        fill_normals(rng, pairs)
+        z = pairs.reshape(2, size).astype(float)[:, slot]
         u = rng.random(size)
         dirichlet = (kern.code[cy * kern.nx + cx] >> 4) != 0
         d1 = kill_distance(kern, fx, fy, cx, cy)
@@ -253,3 +254,26 @@ def walk_batch(kern, rng, starts, sid, n_steps, dt, bridge, checkpoints=(),
         vals[slot] = _bilinear(kern, fk_grid, fx, fy)
         fk_sum, fk_sumsq = float(vals.sum()), float((vals * vals).sum())
     return surv, fk_sum, fk_sumsq, stragglers
+
+
+def fill_normals(rng, out_flat, scale=1.0):
+    """Box-Muller over Generator.random(dtype=float32): the float32 draws
+    that `_rng.fill_normals` must reproduce bit for bit from raw words.
+
+    Fills a flat float32 array of even length 2k: k radii from the first k
+    uniforms, k angles from the next k, za = out_flat[:k] = r cos(angle)
+    and zb = out_flat[k:] = r sin(angle), all in float32.
+    """
+    k = out_flat.size // 2
+    u = rng.random(k, dtype=np.float32)
+    v = rng.random(k, dtype=np.float32)
+    np.subtract(1.0, u, out=u)  # (0, 1]: log never sees zero
+    np.log(u, out=u)
+    u *= np.float32(-2.0 * scale * scale)
+    np.sqrt(u, out=u)
+    v *= np.float32(2.0 * math.pi)
+    za, zb = out_flat[:k], out_flat[k:]
+    np.cos(v, out=za)
+    za *= u
+    np.sin(v, out=zb)
+    zb *= u

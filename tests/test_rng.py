@@ -1,12 +1,17 @@
 """The batch runner `_rng.map_batches`: batch order at every worker count,
-errors from forked workers, dead workers, and no child left behind."""
+errors from forked workers, dead workers, and no child left behind.  The
+Box-Muller kernel `_rng.fill_normals` against the reference over float32
+draws in `oracles.fill_normals`, bit for bit."""
 
 import logging
+import math
 import os
 import signal
 
+import numpy as np
 import pytest
 
+import oracles
 from eigenwalk import _rng
 from eigenwalk.brownian import BrownianError
 
@@ -94,3 +99,54 @@ def test_without_fork_runs_serially_and_says_so_once(monkeypatch, caplog):
     said = [r for r in caplog.records if r.name == "eigenwalk"]
     assert len(said) == 1 and said[0].levelno == logging.INFO
     assert "serially" in said[0].getMessage()
+
+
+T = _rng._TILE  # words per tile; a call of k pairs draws k words
+
+
+def _state(rng):
+    """The bit generator's four state words and its buffered-half flag.
+    Not `uinteger`: numpy leaves a consumed high half there with
+    has_uint32 = 0, and raw words never touch it."""
+    st = rng.bit_generator.state
+    return st["state"]["state"].tolist(), st["has_uint32"]
+
+
+def _same_state_and_next_draws(a, b):
+    assert _state(a) == _state(b)
+    assert a.random(3, dtype=np.float32).tobytes() == \
+        b.random(3, dtype=np.float32).tobytes()
+    assert a.random(3).tobytes() == b.random(3).tobytes()
+    assert a.integers(0, 2**32, 3, dtype=np.uint32).tobytes() == \
+        b.integers(0, 2**32, 3, dtype=np.uint32).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 1000, 1001, T - 1, T, T + 1,
+                               2 * T - 1, 2 * T, 2 * T + 1, 3 * T - 1,
+                               1572864])
+def test_fill_normals_matches_reference_bit_for_bit(k, scale):
+    """Tile edges, odd k (one word holds the last radius and the first
+    angle) and the ball-exit chunk of 1572864 pairs; two calls with a
+    float64 draw between them, as the walker makes them."""
+    got, want = _rng.batch_rng(3, 7, k), _rng.batch_rng(3, 7, k)
+    out, ref = np.empty((2, 2 * k), dtype=np.float32)
+    for _ in range(2):
+        _rng.fill_normals(got, out, scale)
+        oracles.fill_normals(want, ref, scale)
+        assert out.tobytes() == ref.tobytes()
+        assert got.random(k).tobytes() == want.random(k).tobytes()
+    _same_state_and_next_draws(got, want)
+
+
+def test_normal_chunks_pad_an_odd_total_by_one_normal():
+    got, want = _rng.batch_rng(5, 1, 0), _rng.batch_rng(5, 1, 0)
+    chunks = _rng.NormalChunks()
+    for shape in [(3, 5, 7), (1, 3, 3), (2, 3, 5461)]:  # shrinking, growing
+        total = math.prod(shape)
+        ref = np.empty(total + (total & 1), dtype=np.float32)
+        oracles.fill_normals(want, ref, 0.37)
+        dx = chunks.draw(got, *shape, 0.37)
+        assert dx.shape == shape
+        assert dx.tobytes() == ref[:total].tobytes()
+    _same_state_and_next_draws(got, want)

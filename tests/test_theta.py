@@ -371,6 +371,32 @@ def test_mc_exit_rejects_bad_arguments():
         mc_exit_probability(0, 4.0, n_paths=100)
 
 
+@pytest.mark.parametrize("dt_factor", [0.003, 0.07])
+def test_mc_exit_refuses_a_step_that_does_not_divide_the_horizon(dt_factor):
+    """round(1/0.003) = 333 steps end at 0.999 t and 14 steps of 0.07 at
+    0.98 t: a shorter horizon than asked for, so refused."""
+    with pytest.raises(ValueError, match="dt_factor must be 1/N"):
+        mc_exit_probability(2, 4.0, n_paths=100, dt_factor=dt_factor)
+
+
+@pytest.mark.parametrize("dt_factor", [0.1, 0.01, 1e-3, 1e-4])
+def test_mc_exit_accepts_reciprocal_steps(dt_factor):
+    # c = 100 kills the one path within a few of its steps
+    est = mc_exit_probability(2, 100.0, n_paths=1, dt_factor=dt_factor)
+    assert 0.0 <= est.p <= 1.0
+
+
+@pytest.mark.parametrize("kw", [{"n": 2.0}, {"n": 1.5},
+                                {"n_paths": 1000.0}, {"n_paths": "1000"}],
+                         ids=["n=2.0", "n=1.5", "n_paths=1000.0",
+                              "n_paths='1000'"])
+def test_mc_exit_refuses_non_integer_counts(kw):
+    """Refused up front, not by a TypeError inside a batch worker."""
+    args = {"n": 2, "c": 4.0, "n_paths": 1000, "threads": 2} | kw
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        mc_exit_probability(**args)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 
