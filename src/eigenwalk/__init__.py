@@ -12,7 +12,6 @@ from eigenwalk.geometry import (
     DomainSpec,
     GridDomain,
     build_domain,
-    diameter,
     extract_level_set,
     set_distance,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "assemble_laplacian",
     "bessel_zeros",
     "build_domain",
-    "diameter",
     "extract_level_set",
     "heat_semigroup",
     "set_distance",

@@ -93,7 +93,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ._rng import batch_rng, fill_normals, map_batches
 from .geometry import GridDomain, active_cell
@@ -239,6 +238,9 @@ class _Kernel:
         self.ghost = tuple(np.where(kills[dir_], (cx, cy)[axis] + sgn,
                                     sgn * np.inf)
                            for dir_, (axis, sgn) in enumerate(_DIRS))
+        # imported here: at module level it slows `import eigenwalk`
+        from scipy import ndimage
+
         # the clearance: chessboard distance to the nearest cell that is
         # inactive or lacks an active neighbour.  A path that strays less
         # than clear - 1/2 from its cell's node (see _walk_batch), or steps

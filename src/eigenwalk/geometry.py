@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import ndimage
 
 DIRICHLET = 0
 NEUMANN = 1
@@ -84,13 +83,11 @@ class DomainSpec:
             if isinstance(val, (int, float)) and not 0 < val < math.inf:
                 raise DomainError(f"param {key} must be positive and "
                                   f"finite, got {val}")
-        p = self.params
-        if (self.family == "dumbbell"
-                and p.get("neck_width", 0.0) >= p.get("lobe_height", math.inf)):
-            raise DomainError("dumbbell needs neck_width < lobe_height")
-        if (self.family == "octopus"
-                and p.get("tentacle_width", 0.0) >= p.get("body_radius", math.inf)):
-            raise DomainError("octopus needs tentacle_width < body_radius")
+        # shape checks that need no lattice, with the builder's defaults
+        if self.family == "dumbbell":
+            _dumbbell_params(self)
+        elif self.family == "octopus":
+            _octopus_params(self)
 
     @staticmethod
     def from_json(text: str) -> "DomainSpec":
@@ -229,20 +226,10 @@ class GridDomain:
         inside = active_cell(self.mask, self.origin, self.h, x, y)[2]
         return bool(inside) if np.ndim(inside) == 0 else inside
 
-    def wall_segments(self) -> np.ndarray:
-        """(m, 4) array of wall endpoints (x1, y1, x2, y2), one per wall:
-        direction by direction (+x, -x, +y, -y), nodes in row-major order."""
-        h = self.h
-        segs = []
-        for d, (diy, dix) in enumerate(_DIRS):
-            iy, ix = np.nonzero(self.mask & ((self.wall_code & (1 << d)) == 0))
-            x, y = self.node_xy(iy, ix)
-            mx, my = x + dix * h / 2.0, y + diy * h / 2.0  # wall midpoint
-            ex, ey = (0.0, h / 2.0) if dix else (h / 2.0, 0.0)  # half length
-            segs.append(np.column_stack([mx - ex, my - ey, mx + ex, my + ey]))
-        return np.vstack(segs)
-
     def _validate_connected(self):
+        # imported here: at module level it slows `import eigenwalk`
+        from scipy import ndimage
+
         if not self.mask.any():
             raise DomainError("empty mask")
         _, count = ndimage.label(self.mask, structure=_FOUR_CONN)
@@ -430,11 +417,17 @@ def _build_annulus(spec: DomainSpec):
     return h, (-ro, -ro), _raster(closed, X, Y, h, bc), bc, {}
 
 
-def _build_dumbbell(spec: DomainSpec):
+def _dumbbell_params(spec: DomainSpec) -> tuple:
+    """(lobe_width, lobe_height, neck_width, neck_length), checked."""
     lw, lh, nw, nl = map(float, _params(spec, lobe_width=1.0, lobe_height=1.0,
                                         neck_width=0.1, neck_length=0.5))
     if nw >= lh:
         raise DomainError("dumbbell needs neck_width < lobe_height")
+    return lw, lh, nw, nl
+
+
+def _build_dumbbell(spec: DomainSpec):
+    lw, lh, nw, nl = _dumbbell_params(spec)
     width = 2 * lw + nl
     y_lo, y_hi = (lh - nw) / 2.0, (lh + nw) / 2.0
     x_l, x_r = lw, lw + nl
@@ -461,7 +454,9 @@ def _build_dumbbell(spec: DomainSpec):
     return h, (0.0, 0.0), mask, bc, regions
 
 
-def _build_octopus(spec: DomainSpec):
+def _octopus_params(spec: DomainSpec) -> tuple:
+    """(body_radius, tentacle_width, tentacle_length, tentacle_count),
+    checked."""
     *lengths, tc = _params(spec, body_radius=1.0, tentacle_width=0.2,
                            tentacle_length=1.0, tentacle_count=4)
     rb, tw, tl = map(float, lengths)
@@ -470,6 +465,11 @@ def _build_octopus(spec: DomainSpec):
         raise DomainError("octopus needs tentacle_width < body_radius")
     if tc < 1:
         raise DomainError("octopus needs tentacle_count >= 1")
+    return rb, tw, tl, tc
+
+
+def _build_octopus(spec: DomainSpec):
+    rb, tw, tl, tc = _octopus_params(spec)
     angles = [2.0 * math.pi * k / tc for k in range(tc)]
     reach = rb + tl
 
@@ -558,71 +558,7 @@ def build_domain(spec: DomainSpec) -> GridDomain:
 
 
 # ---------------------------------------------------------------------------
-# measurements
-
-def diameter(dom: GridDomain) -> float:
-    """Max pairwise distance between boundary-wall vertices, via convex hull.
-
-    Wall vertices sit half a cell beyond the outermost active nodes, so this
-    tracks the continuum outline to within about one cell; measuring active
-    nodes instead would understate every Dirichlet side by a full cell.
-    """
-    segs = dom.wall_segments()
-    pts = segs.reshape(-1, 2)
-    hull = _convex_hull(pts)
-    best = 0.0
-    for i in range(len(hull)):
-        d2 = np.einsum("ij,ij->i", hull[i + 1:] - hull[i], hull[i + 1:] - hull[i])
-        if d2.size:
-            best = max(best, float(d2.max()))
-    return math.sqrt(best)
-
-
-def _convex_hull(pts: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; returns hull vertices, counterclockwise."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    p = pts[order]
-    # drop duplicates
-    keep = np.ones(len(p), dtype=bool)
-    keep[1:] = (np.diff(p, axis=0) != 0).any(axis=1)
-    p = p[keep]
-    if len(p) <= 2:
-        return p
-
-    def half(points):
-        out = []
-        for q in points:
-            while len(out) >= 2 and _cross(out[-2], out[-1], q) <= 0:
-                out.pop()
-            out.append(q)
-        return out
-
-    lower = half(p)
-    upper = half(p[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
-def lattice_convex(mask: np.ndarray) -> bool:
-    """True when every lattice node inside the convex hull of the active
-    nodes is active, as for any rasterized convex shape."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    first = mask[rows].argmax(axis=1)
-    last = mask.shape[1] - 1 - mask[rows, ::-1].argmax(axis=1)
-    # each row's end nodes span the same hull as all active nodes
-    ends = np.column_stack([np.concatenate([first, last]),
-                            np.concatenate([rows, rows])]).astype(float)
-    hull = _convex_hull(ends)
-    y0, x0 = rows[0], first.min()
-    gy, gx = np.mgrid[y0:rows[-1] + 1, x0:last.max() + 1]
-    inside = np.ones(gy.shape, dtype=bool)
-    for a, b in zip(hull, np.roll(hull, -1, axis=0)):  # counterclockwise
-        inside &= (b[0] - a[0]) * (gy - a[1]) - (b[1] - a[1]) * (gx - a[0]) >= 0
-    return bool(mask[gy[inside], gx[inside]].all())
-
-
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
+# level sets
 
 def _point_segment_dist(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
     """Distances from points (..., 2) to segments (x1, y1, x2, y2) (..., 4),
@@ -635,9 +571,6 @@ def _point_segment_dist(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
     d = pts - (a + t[..., None] * ab)
     return np.sqrt(np.einsum("...k,...k->...", d, d))
 
-
-# ---------------------------------------------------------------------------
-# level sets
 
 @dataclass(frozen=True)
 class LevelSetGeometry:

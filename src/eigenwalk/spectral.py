@@ -30,20 +30,17 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
-from .geometry import (GridDomain, _masses, _quarter_presence, diameter,
-                       lattice_convex)
+from .geometry import GridDomain, _masses, _quarter_presence
 
 __all__ = [
     "SpectralError",
     "LaplaceOperator",
     "SpectralResult",
     "HeatState",
-    "ClassicalBounds",
     "assemble_laplacian",
     "solve_eigs",
     "heat_semigroup",
     "survival_profile",
-    "classical_bounds",
     "zeta_bound",
     "grid_hash",
 ]
@@ -132,19 +129,6 @@ class HeatState:
     field: np.ndarray
     bc_mode: str
     truncation_bound: float
-
-
-@dataclass(frozen=True)
-class ClassicalBounds:
-    """Planar spectral-gap bracket from diameter and area alone:
-    mu2_lower <= mu_2 <= mu2_upper = 4*pi/area (Szego-Weinberger).
-    mu2_lower is 1/diam^2 on convex domains and 0.0 otherwise (see
-    classical_bounds)."""
-
-    diameter: float
-    area: float
-    mu2_lower: float
-    mu2_upper: float
 
 
 # ---------------------------------------------------------------------------
@@ -501,23 +485,6 @@ def survival_profile(result: SpectralResult, t: float) -> HeatState:
 
 # ---------------------------------------------------------------------------
 # closed-form companions
-
-
-def classical_bounds(dom: GridDomain) -> ClassicalBounds:
-    """Bracket the planar Neumann spectral gap by geometry alone.
-
-    The lower end 1/diam^2 holds only for convex domains, where
-    Payne-Weinberger gives the stronger pi^2/diam^2.  No diameter bound
-    exists otherwise: narrowing a dumbbell's neck drives mu_2 to zero at
-    fixed diameter (neck 0.05 x 1.0 at resolution 256: mu_2 = 0.0645 <
-    1/diam^2 = 0.0991).  So mu2_lower is 1/diam^2 only when the active
-    nodes are lattice-convex (geometry.lattice_convex), and 0.0 otherwise.
-    """
-    d = diameter(dom)
-    a = dom.area()
-    lower = 1.0 / (d * d) if lattice_convex(dom.mask) else 0.0
-    return ClassicalBounds(diameter=d, area=a, mu2_lower=lower,
-                           mu2_upper=4.0 * math.pi / a)
 
 
 def zeta_bound(n: int, eps: float) -> float:

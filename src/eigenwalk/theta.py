@@ -148,29 +148,21 @@ def theta(n: int, c: float) -> ThetaValue:
             "refusing to under-resolve"
         )
 
-    survival = 0.0
-    terms_used = 0
-    first_omitted = 0.0
     count = 64
-    start = 1
     while True:
         zeros, coef = _series_terms(int(n), count)
-        t_all = coef * np.exp(-zeros * zeros / c)
-        done = False
-        for i in range(start - 1, count):
-            term = float(t_all[i])
-            if abs(term) < TRUNCATION_TOL and i >= 1:
-                first_omitted = abs(term)
-                done = True
-                break
-            survival += term
-            terms_used = i + 1
-        if done:
+        terms = coef * np.exp(-zeros * zeros / c)
+        # the first term below the tolerance, past the leading one, which
+        # always counts; index 1 when there is none
+        terms_used = int((np.abs(terms[1:]) < TRUNCATION_TOL).argmax()) + 1
+        first_omitted = float(abs(terms[terms_used]))
+        if first_omitted < TRUNCATION_TOL:
             break
         if count >= MAX_TERMS:
             raise RuntimeError("theta: series did not truncate within 1e6 terms")
-        start = count + 1
         count = min(4 * count, MAX_TERMS)
+    # cumsum adds left to right, so this is the term-by-term sum's bits
+    survival = float(terms[:terms_used].cumsum()[-1])
     p = min(1.0, max(0.0, 1.0 - survival))
     return ThetaValue(n=int(n), c=float(c), p=p,
                        truncation_error=first_omitted, terms_used=terms_used)

@@ -1,10 +1,11 @@
 """Independent reference implementations used to validate package code.
 
 Everything here is deliberately written the slow, obvious way: closed
-forms where they exist, O(n^2) scans where they do not.  Only walk_batch
-shares code with the package, its cell walk, because it checks how the
-walker schedules steps, not the step rule itself; its normals come from
-fill_normals here.
+forms where they exist, O(n^2) scans where they do not.  Two share code
+with the package.  walk_batch uses its cell walk, because it checks how
+the walker schedules steps, not the step rule itself; its normals come
+from fill_normals here.  theta_series uses its series terms, because it
+checks how theta sums them.
 """
 
 import math
@@ -277,3 +278,41 @@ def fill_normals(rng, out_flat, scale=1.0):
     za *= u
     np.sin(v, out=zb)
     zb *= u
+
+
+def theta_series(n, c):
+    """theta_n(c) summed term by term, as a Python loop: the (p,
+    truncation_error, terms_used) that `theta.theta` must give bit for bit.
+
+    Reads the package's zeros and coefficients (`theta._series_terms`), so
+    it checks where the sum stops and how it adds, not the series itself.
+    The sum stops before the first term after the leading one whose
+    magnitude is below `theta.TRUNCATION_TOL`; the term count starts at 64
+    and grows fourfold, each growth adding only the new terms.
+    """
+    from eigenwalk.theta import MAX_TERMS, TRUNCATION_TOL, _series_terms
+
+    survival = 0.0
+    terms_used = 0
+    first_omitted = 0.0
+    count = 64
+    start = 1
+    while True:
+        zeros, coef = _series_terms(int(n), count)
+        t_all = coef * np.exp(-zeros * zeros / c)
+        done = False
+        for i in range(start - 1, count):
+            term = float(t_all[i])
+            if abs(term) < TRUNCATION_TOL and i >= 1:
+                first_omitted = abs(term)
+                done = True
+                break
+            survival += term
+            terms_used = i + 1
+        if done:
+            break
+        if count >= MAX_TERMS:
+            raise RuntimeError("theta: series did not truncate within 1e6 terms")
+        start = count + 1
+        count = min(4 * count, MAX_TERMS)
+    return min(1.0, max(0.0, 1.0 - survival)), first_omitted, terms_used

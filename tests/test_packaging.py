@@ -40,11 +40,14 @@ def test_exports_resolve():
 
 def test_import_leaves_scipy_spatial_unloaded():
     """set_distance imports scipy.spatial when first called; loading it
-    with the package costs about 55 ms of every `import eigenwalk`."""
+    with the package costs about 55 ms of every `import eigenwalk`.  The
+    connectivity check and the walker's clearance table import
+    scipy.ndimage the same way."""
     probe = ("import sys, eigenwalk; "
-             "print('scipy.spatial' in sys.modules)")
+             "print('scipy.spatial' in sys.modules, "
+             "'scipy.ndimage' in sys.modules)")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

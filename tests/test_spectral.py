@@ -19,13 +19,10 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import oracles
 from eigenwalk import spectral
 from eigenwalk.geometry import (DIRICHLET, NEUMANN, DomainError,
-                                DomainSpec, GridDomain, build_domain,
-                                diameter)
+                                DomainSpec, GridDomain, build_domain)
 from eigenwalk.spectral import (
-    ClassicalBounds,
     SpectralError,
     assemble_laplacian,
-    classical_bounds,
     grid_hash,
     heat_semigroup,
     solve_eigs,
@@ -692,27 +689,6 @@ class TestClosedForms:
     @settings(max_examples=50, deadline=None)
     def test_zeta_decreasing_in_eps(self, eps, factor):
         assert zeta_bound(2, eps * factor) < zeta_bound(2, eps)
-
-    def test_classical_bounds_square(self):
-        dom = rect(resolution=128, bc="neumann")
-        cb = classical_bounds(dom)
-        assert isinstance(cb, ClassicalBounds)
-        assert cb.area == pytest.approx(1.0, abs=1e-12)
-        assert cb.mu2_upper == pytest.approx(4 * math.pi, rel=1e-12)
-        assert cb.mu2_lower == pytest.approx(0.5, abs=2 * dom.h)
-        assert cb.mu2_lower <= math.pi ** 2 <= cb.mu2_upper
-        assert cb.diameter == pytest.approx(diameter(dom), rel=0)
-
-    def test_classical_lower_bound_dropped_off_convex(self):
-        """On a Neumann dumbbell mu_2 falls below 1/diam^2, so the bracket
-        reports no diameter lower bound there."""
-        dom = build_domain(DomainSpec(
-            "dumbbell", {"neck_width": 0.05, "neck_length": 1.0}, 256,
-            bc_default="neumann"))
-        cb = classical_bounds(dom)
-        assert cb.mu2_lower == 0.0
-        mu2 = solve_eigs(assemble_laplacian(dom, "neumann"), k=2).eigenvalues[1]
-        assert cb.mu2_lower <= mu2 < 1.0 / cb.diameter ** 2 <= cb.mu2_upper
 
 
 # ---------------------------------------------------------------------------

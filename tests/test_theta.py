@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from eigenwalk.theta import (
     ThetaValue,
     bessel_zeros,
@@ -117,6 +118,18 @@ def test_theta_rejects_bad_arguments():
         theta(2, math.inf)
     with pytest.raises(ValueError):
         theta(2, math.nan)
+
+
+def test_theta_sums_the_series_as_the_term_by_term_loop():
+    """theta finds its truncation point in one pass and sums the kept terms
+    with cumsum; p, truncation_error and terms_used are the reference
+    loop's bit for bit, across c from 1e-3 (one kept term) to 1e5 (about
+    500, past two growths of the term count)."""
+    for n in range(1, 6):
+        for c in np.geomspace(1e-3, 1e5, 3000):
+            got = theta(n, float(c))
+            want = oracles.theta_series(n, float(c))
+            assert (got.p, got.truncation_error, got.terms_used) == want, (n, c)
 
 
 def test_theta_huge_c_raises_diagnostic():
