@@ -23,9 +23,32 @@ converge at O(h^2) on lattice-aligned Neumann sides, but only at first
 order on curved ones: mu_2 of the unit Neumann disk is +4.25% above
 (j'_{1,1})^2 at resolution 64 and +2.07% at 128.
 
-Parametric families: rectangle, disk, dumbbell (two lobes joined by a
-centered neck), octopus (disk body with protruding rectangular tentacles),
-annulus, l_shape, plus custom_mask for a mask given as rows of characters.
+Families and their parameters, with defaults; every number must be a
+positive, finite real (``tentacle_count`` an integer):
+
+- rectangle: width (1.0), height (1.0).  The only family that takes
+  bc_overrides, on its sides left, right, bottom and top.
+- disk: radius (1.0).
+- annulus: outer_radius (1.0), inner_radius (0.5) < outer_radius.
+- dumbbell: two lobes joined by a centered neck; lobe_width (1.0),
+  lobe_height (1.0), neck_width (0.1) < lobe_height, neck_length (0.5).
+  Regions left_lobe, neck, right_lobe.
+- octopus: a disk body with protruding rectangular tentacles;
+  body_radius (1.0), tentacle_width (0.2) < body_radius,
+  tentacle_length (1.0), tentacle_count (4).  Regions body, tentacle_<k>.
+- l_shape: a rectangle less its top-right notch; width (1.0),
+  height (1.0), notch_width (width/2) < width, notch_height (height/2)
+  < height.
+- custom_mask: rows (no default), a list of equal-length strings, top row
+  first, where '1', '#', 'x' and 'X' mark active nodes; cell_size (1/64).
+
+Each family is a reader and a builder (``_FAMILIES``).  The reader makes
+every check that needs no lattice: unknown parameter keys and bc_overrides
+parts, the type and range of each value, and the inequalities above.
+``DomainSpec(...)`` runs it, so a spec that constructs is one these checks
+pass.  ``build_domain`` runs it again, then the builder, which makes the
+checks that need the spacing h: a dumbbell neck or octopus tentacle under
+4 nodes across, and a mask that is empty or not 4-connected.
 """
 
 from __future__ import annotations
@@ -34,7 +57,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -58,7 +81,9 @@ class DomainSpec:
     """Recipe for a grid domain: family, numeric parameters, resolution
     (grid spacings across the longest bounding-box side), and boundary
     labels.  bc_overrides maps named parts (rectangle: left, right, bottom,
-    top) to labels that replace bc_default there."""
+    top) to labels that replace bc_default there.  Construction runs the
+    family's reader, so every check that needs no lattice is made here
+    and raises DomainError."""
 
     family: str
     params: Mapping[str, object] = field(default_factory=dict)
@@ -68,38 +93,41 @@ class DomainSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if not _one_of(self.family, _FAMILIES):
             raise DomainError(f"unknown family {self.family!r}; "
                               f"have {sorted(_FAMILIES)}")
-        _integer("resolution", self.resolution)
-        if self.resolution < 16:
+        if _number("resolution", self.resolution, integer=True) < 16:
             raise DomainError("resolution must be >= 16")
-        if self.bc_default not in _BC_NAMES:
+        if not _one_of(self.bc_default, _BC_NAMES):
             raise DomainError(f"bc_default must be one of {sorted(_BC_NAMES)}")
-        for part, bc in self.bc_overrides.items():
-            if bc not in _BC_NAMES:
-                raise DomainError(f"bc override {part}={bc!r} not recognized")
-        for key, val in self.params.items():
-            if isinstance(val, (int, float)) and not 0 < val < math.inf:
-                raise DomainError(f"param {key} must be positive and "
-                                  f"finite, got {val}")
-        # shape checks that need no lattice, with the builder's defaults
-        if self.family == "dumbbell":
-            _dumbbell_params(self)
-        elif self.family == "octopus":
-            _octopus_params(self)
+        for key in ("params", "bc_overrides"):
+            if not isinstance(getattr(self, key), Mapping):
+                raise DomainError(f"{key} must be a mapping, got "
+                                  f"{type(getattr(self, key)).__name__}")
+        if not isinstance(self.name, str):
+            raise DomainError(f"name must be a string, got {self.name!r}")
+        _FAMILIES[self.family][0](self)
 
     @staticmethod
     def from_json(text: str) -> "DomainSpec":
-        doc = json.loads(text)
-        return DomainSpec(
-            family=doc["family"],
-            params=doc.get("params", {}),
-            resolution=doc.get("resolution", 128),
-            bc_default=doc.get("bc_default", "dirichlet"),
-            bc_overrides=doc.get("bc_overrides", {}),
-            name=doc.get("name", ""),
-        )
+        """The spec a JSON object describes, with the constructor's
+        defaults for absent keys; DomainError for text that is not a JSON
+        object, a missing family or a key the constructor does not take."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"domain spec is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DomainError(f"domain spec must be a JSON object, got "
+                              f"{type(doc).__name__}")
+        keys = [f.name for f in fields(DomainSpec)]
+        unknown = set(doc) - set(keys)
+        if unknown:
+            raise DomainError(f"unknown domain spec keys {sorted(unknown)}; "
+                              f"have {keys}")
+        if "family" not in doc:
+            raise DomainError("domain spec needs a family")
+        return DomainSpec(**doc)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -358,56 +386,102 @@ def _raster(closed, X, Y, h: float, bc: int) -> np.ndarray:
     return out if bc == DIRICHLET else _drop_massless(out)
 
 
-def _params(spec: DomainSpec, **defaults) -> list:
-    """The values of spec.params, falling back to ``defaults`` and in their
-    order; raises DomainError for a key ``defaults`` does not name."""
-    unknown = set(spec.params) - set(defaults)
+def _one_of(value, names) -> bool:
+    """Whether value is a string among ``names``; False for any other type,
+    hashable or not."""
+    return isinstance(value, str) and value in names
+
+
+def _number(name: str, value, integer: bool = False):
+    """value as a float, or as an int where ``integer``: a positive, finite
+    real number, integral where ``integer``.  A bool, a string, a list and
+    a float where an integer is asked for are refused, not converted."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DomainError(f"{name} must be "
+                          f"{'an integer' if integer else 'a real number'}, "
+                          f"got {value!r}")
+    value = int(value) if integer else float(value)
+    if not 0 < value < math.inf:  # also refuses NaN
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _params(spec: DomainSpec, defaults: dict, own=(), parts=()) -> list:
+    """The values of spec.params for the keys of ``defaults``, in their
+    order: a given value read by _number, as an integer where its default
+    is an int; the default where the key is absent.  ``own`` names the keys
+    the caller reads itself and ``parts`` those bc_overrides may name.
+    Raises DomainError for any other key of either and for an override
+    label other than dirichlet or neumann."""
+    unknown = set(spec.params) - set(defaults) - set(own)
     if unknown:
-        raise DomainError(f"{spec.family}: unknown params {sorted(unknown)}")
-    return [spec.params.get(key, val) for key, val in defaults.items()]
+        raise DomainError(f"{spec.family}: unknown params "
+                          f"{sorted(unknown, key=str)}; have "
+                          f"{[*defaults, *own]}")
+    unknown = set(spec.bc_overrides) - set(parts)
+    if unknown:
+        raise DomainError(f"{spec.family}: bc_overrides name unknown parts "
+                          f"{sorted(unknown, key=str)}; have {list(parts)} "
+                          "(only the rectangle's sides take overrides)")
+    for part, bc in spec.bc_overrides.items():
+        if not _one_of(bc, _BC_NAMES):
+            raise DomainError(f"bc override {part}={bc!r} not recognized")
+    return [_number(f"{spec.family}: {key}", spec.params[key],
+                    integer=isinstance(default, int))
+            if key in spec.params else default
+            for key, default in defaults.items()]
 
 
-def _integer(name: str, value) -> int:
-    """value, which must be of an integer type: a float is refused, not
-    truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+_SIDES = ("left", "right", "bottom", "top")
 
 
-def _build_rectangle(spec: DomainSpec):
-    w, ht = map(float, _params(spec, width=1.0, height=1.0))
+def _read_rectangle(spec: DomainSpec):
+    """(width, height, label per side)."""
+    w, ht = _params(spec, {"width": 1.0, "height": 1.0}, parts=_SIDES)
+    sides = {s: _BC_NAMES[spec.bc_overrides.get(s, spec.bc_default)]
+             for s in _SIDES}
+    return w, ht, sides
+
+
+def _build_rectangle(spec: DomainSpec, w, ht, sides):
     h, X, Y = _lattice(w, ht, spec.resolution, (0.0, 0.0))
-    side_bc = {s: _BC_NAMES[spec.bc_overrides.get(s, spec.bc_default)]
-               for s in ("left", "right", "bottom", "top")}
     on_l, on_r = np.isclose(X, 0.0), np.isclose(X, w)
     on_b, on_t = np.isclose(Y, 0.0), np.isclose(Y, ht)
     mask = np.ones(X.shape, dtype=bool)
     for on, side in ((on_l, "left"), (on_r, "right"),
                      (on_b, "bottom"), (on_t, "top")):
-        if side_bc[side] == DIRICHLET:
+        if sides[side] == DIRICHLET:
             mask &= ~on
     # a boundary wall in the +x/-x direction always realizes the right/left
     # ideal side (a missing x-neighbor is missing because of that side),
     # and likewise for y, so each direction carries one label
-    labels = np.array([side_bc[s] for s in ("right", "left", "top", "bottom")],
+    labels = np.array([sides[s] for s in ("right", "left", "top", "bottom")],
                       dtype=np.int8).reshape(4, 1, 1)
     return h, (0.0, 0.0), mask, labels, {}
 
 
-def _build_disk(spec: DomainSpec):
-    r, = map(float, _params(spec, radius=1.0))
+def _read_disk(spec: DomainSpec):
+    """(radius,)."""
+    return _params(spec, {"radius": 1.0})
+
+
+def _build_disk(spec: DomainSpec, r):
     h, X, Y = _lattice(2 * r, 2 * r, spec.resolution, (-r, -r))
     bc = _BC_NAMES[spec.bc_default]
     mask = _raster(lambda X, Y: X * X + Y * Y <= r * r, X, Y, h, bc)
     return h, (-r, -r), mask, bc, {}
 
 
-def _build_annulus(spec: DomainSpec):
-    ro, ri = map(float, _params(spec, outer_radius=1.0, inner_radius=0.5))
+def _read_annulus(spec: DomainSpec):
+    """(outer_radius, inner_radius)."""
+    ro, ri = _params(spec, {"outer_radius": 1.0, "inner_radius": 0.5})
     if ri >= ro:
         raise DomainError("annulus needs inner_radius < outer_radius")
+    return ro, ri
 
+
+def _build_annulus(spec: DomainSpec, ro, ri):
     def closed(X, Y):
         r2 = X * X + Y * Y
         return (r2 >= ri * ri) & (r2 <= ro * ro)
@@ -417,17 +491,16 @@ def _build_annulus(spec: DomainSpec):
     return h, (-ro, -ro), _raster(closed, X, Y, h, bc), bc, {}
 
 
-def _dumbbell_params(spec: DomainSpec) -> tuple:
-    """(lobe_width, lobe_height, neck_width, neck_length), checked."""
-    lw, lh, nw, nl = map(float, _params(spec, lobe_width=1.0, lobe_height=1.0,
-                                        neck_width=0.1, neck_length=0.5))
+def _read_dumbbell(spec: DomainSpec):
+    """(lobe_width, lobe_height, neck_width, neck_length)."""
+    lw, lh, nw, nl = _params(spec, {"lobe_width": 1.0, "lobe_height": 1.0,
+                                    "neck_width": 0.1, "neck_length": 0.5})
     if nw >= lh:
         raise DomainError("dumbbell needs neck_width < lobe_height")
     return lw, lh, nw, nl
 
 
-def _build_dumbbell(spec: DomainSpec):
-    lw, lh, nw, nl = _dumbbell_params(spec)
+def _build_dumbbell(spec: DomainSpec, lw, lh, nw, nl):
     width = 2 * lw + nl
     y_lo, y_hi = (lh - nw) / 2.0, (lh + nw) / 2.0
     x_l, x_r = lw, lw + nl
@@ -454,22 +527,17 @@ def _build_dumbbell(spec: DomainSpec):
     return h, (0.0, 0.0), mask, bc, regions
 
 
-def _octopus_params(spec: DomainSpec) -> tuple:
-    """(body_radius, tentacle_width, tentacle_length, tentacle_count),
-    checked."""
-    *lengths, tc = _params(spec, body_radius=1.0, tentacle_width=0.2,
-                           tentacle_length=1.0, tentacle_count=4)
-    rb, tw, tl = map(float, lengths)
-    tc = _integer("tentacle_count", tc)
+def _read_octopus(spec: DomainSpec):
+    """(body_radius, tentacle_width, tentacle_length, tentacle_count)."""
+    rb, tw, tl, tc = _params(spec, {"body_radius": 1.0, "tentacle_width": 0.2,
+                                    "tentacle_length": 1.0,
+                                    "tentacle_count": 4})
     if tw >= rb:
         raise DomainError("octopus needs tentacle_width < body_radius")
-    if tc < 1:
-        raise DomainError("octopus needs tentacle_count >= 1")
     return rb, tw, tl, tc
 
 
-def _build_octopus(spec: DomainSpec):
-    rb, tw, tl, tc = _octopus_params(spec)
+def _build_octopus(spec: DomainSpec, rb, tw, tl, tc):
     angles = [2.0 * math.pi * k / tc for k in range(tc)]
     reach = rb + tl
 
@@ -504,15 +572,18 @@ def _build_octopus(spec: DomainSpec):
     return h, (x0, y0), mask, bc, regions
 
 
-def _build_l_shape(spec: DomainSpec):
-    w, ht, nw, nh = _params(spec, width=1.0, height=1.0, notch_width=None,
-                            notch_height=None)
-    w, ht = float(w), float(ht)
-    nw = w / 2.0 if nw is None else float(nw)
-    nh = ht / 2.0 if nh is None else float(nh)
+def _read_l_shape(spec: DomainSpec):
+    """(width, height, notch_width, notch_height)."""
+    w, ht, nw, nh = _params(spec, {"width": 1.0, "height": 1.0,
+                                   "notch_width": None, "notch_height": None})
+    nw = w / 2.0 if nw is None else nw
+    nh = ht / 2.0 if nh is None else nh
     if nw >= w or nh >= ht:
         raise DomainError("l_shape notch must be smaller than the rectangle")
+    return w, ht, nw, nh
 
+
+def _build_l_shape(spec: DomainSpec, w, ht, nw, nh):
     def closed(X, Y):
         rect = (X >= 0) & (X <= w) & (Y >= 0) & (Y <= ht)
         notch = (X > w - nw) & (Y > ht - nh)
@@ -523,36 +594,48 @@ def _build_l_shape(spec: DomainSpec):
     return h, (0.0, 0.0), _raster(closed, X, Y, h, bc), bc, {}
 
 
-def _build_custom(spec: DomainSpec):
-    rows, cell = _params(spec, rows=None, cell_size=1.0 / 64)
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise DomainError("custom_mask rows must be nonempty, equal length")
+def _read_custom(spec: DomainSpec):
+    """(rows, cell_size)."""
+    cell, = _params(spec, {"cell_size": 1.0 / 64}, own=("rows",))
+    rows = spec.params.get("rows")
+    if not (isinstance(rows, (list, tuple)) and rows
+            and all(isinstance(r, str) and r and len(r) == len(rows[0])
+                    for r in rows)):
+        raise DomainError("custom_mask rows must be a nonempty list of "
+                          f"nonempty, equal-length strings, got {rows!r}")
+    return rows, cell
+
+
+def _build_custom(spec: DomainSpec, rows, cell):
     grid = [[ch in "1#xX" for ch in r] for r in reversed(rows)]
     mask = np.array(grid, dtype=bool)
     bc = _BC_NAMES[spec.bc_default]
-    return float(cell), (0.0, 0.0), mask, bc, {}
+    return cell, (0.0, 0.0), mask, bc, {}
 
 
+# family name -> (reader, builder): reader(spec) makes every check that
+# needs no lattice and returns the parsed values; builder(spec, *values)
+# rasterizes, making the checks that need h
 _FAMILIES = {
-    "rectangle": _build_rectangle,
-    "disk": _build_disk,
-    "annulus": _build_annulus,
-    "dumbbell": _build_dumbbell,
-    "octopus": _build_octopus,
-    "l_shape": _build_l_shape,
-    "custom_mask": _build_custom,
+    "rectangle": (_read_rectangle, _build_rectangle),
+    "disk": (_read_disk, _build_disk),
+    "annulus": (_read_annulus, _build_annulus),
+    "dumbbell": (_read_dumbbell, _build_dumbbell),
+    "octopus": (_read_octopus, _build_octopus),
+    "l_shape": (_read_l_shape, _build_l_shape),
+    "custom_mask": (_read_custom, _build_custom),
 }
 
 
 def build_domain(spec: DomainSpec) -> GridDomain:
     """Rasterize a DomainSpec; deterministic (identical spec, identical bits).
 
-    Raises DomainError for disconnected masks or under-resolved features.
+    Runs the family's reader again, so params mutated after construction
+    are checked too, then its builder.  Raises DomainError for disconnected
+    masks or under-resolved features.
     """
-    if spec.bc_overrides and spec.family != "rectangle":
-        raise DomainError("bc_overrides are only supported for the "
-                          "rectangle family (named sides)")
-    h, origin, mask, labels, regions = _FAMILIES[spec.family](spec)
+    read, build = _FAMILIES[spec.family]
+    h, origin, mask, labels, regions = build(spec, *read(spec))
     name = spec.name or spec.family
     return GridDomain(name, h, origin, mask, labels, regions)
 

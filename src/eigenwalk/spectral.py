@@ -441,15 +441,13 @@ def _project(result: SpectralResult, f0_vec: np.ndarray):
     return coeffs, tail_norm
 
 
-def heat_semigroup(result: SpectralResult, f0, t: float,
-                   max_truncation: float | None = None) -> HeatState:
+def heat_semigroup(result: SpectralResult, f0, t: float) -> HeatState:
     """Evolve f0 by the heat semigroup using the computed eigenbasis.
 
     f0 is a (ny, nx) array (values off-domain are ignored) and t a finite
     time >= 0; NaN and infinity raise ValueError.  The dropped component
     is bounded by exp(-lam_k * t) * ||f0 - proj f0||, reported as
-    HeatState.truncation_bound; pass max_truncation to make a sloppy basis
-    an error instead of a silent approximation.
+    HeatState.truncation_bound.
     """
     if not 0.0 <= t < math.inf:  # also refuses NaN
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
@@ -458,10 +456,6 @@ def heat_semigroup(result: SpectralResult, f0, t: float,
     coeffs, tail_norm = _project(result, f0_vec)
     lam = result.eigenvalues
     bound = math.exp(-float(lam[-1]) * t) * tail_norm
-    if max_truncation is not None and bound > max_truncation:
-        raise SpectralError(
-            f"heat truncation bound {bound:.3e} exceeds {max_truncation:g} "
-            f"at t={t:g}; compute more eigenpairs or evolve longer")
     u = np.zeros(op.n)
     for j in range(result.k):
         v = result.eigenfields[j][op.iy, op.ix]

@@ -148,7 +148,10 @@ def theta(n: int, c: float) -> ThetaValue:
             "refusing to under-resolve"
         )
 
-    count = 64
+    # est terms suffice for n <= 2 at every c and for n <= 5 at c < 9e3;
+    # a short pass grows 4-fold.  np.exp gives the same bits at every array
+    # length, so the pass size changes no result, only its cost
+    count = est
     while True:
         zeros, coef = _series_terms(int(n), count)
         terms = coef * np.exp(-zeros * zeros / c)

@@ -1,6 +1,7 @@
 """Tests for lattice domain construction, level sets, and distances."""
 
 import hashlib
+import json
 import math
 import warnings
 
@@ -273,6 +274,133 @@ def test_spec_rejects_non_finite_params():
         DomainSpec("rectangle", {"width": math.inf, "height": 1.0})
     with pytest.raises(DomainError, match="finite"):
         DomainSpec("custom_mask", {"cell_size": math.inf, "rows": ["11"]})
+
+
+@pytest.mark.parametrize("family, params", [
+    ("l_shape", {"notch_width": 2.0}),
+    ("disk", {"radiu": 1.0}),
+    ("annulus", {"inner_radius": 2.0}),
+    ("rectangle", {"widht": 2.0}),
+    ("custom_mask", {}),
+    ("disk", {"radius": True}),
+    ("disk", {"radius": "x"}),
+    ("disk", {"radius": [1]}),
+    ("custom_mask", {"rows": "1111"}),
+], ids=["notch", "typo", "inner", "rect_typo", "no_rows", "bool", "str",
+        "list", "rows_str"])
+def test_bad_params_refused_when_the_spec_is_made(family, params):
+    """Every check that needs no lattice runs in DomainSpec(...), and so
+    in from_json, for each family alike, before any build."""
+    with pytest.raises(DomainError):
+        DomainSpec(family, params, 64)
+    with pytest.raises(DomainError):
+        DomainSpec.from_json(json.dumps({"family": family, "params": params}))
+
+
+@pytest.mark.parametrize("value", [np.float32("nan"), np.int64(0)],
+                         ids=["float32_nan", "int64_zero"])
+def test_numpy_scalars_are_checked_as_numbers(value):
+    with pytest.raises(DomainError, match="disk: radius must be positive"):
+        DomainSpec("disk", {"radius": value}, 64)
+
+
+def test_build_checks_params_changed_after_construction():
+    params = {"radius": 1.0}
+    spec = DomainSpec("disk", params, 32)
+    params["radius"] = "x"
+    with pytest.raises(DomainError, match="radius must be a real number"):
+        build_domain(spec)
+
+
+@pytest.mark.parametrize("family, overrides", [
+    ("rectangle", {"lefft": "neumann"}),
+    ("disk", {"left": "neumann"}),
+], ids=["rectangle_typo", "disk"])
+def test_bc_overrides_checked_at_construction(family, overrides):
+    with pytest.raises(DomainError, match="bc_overrides name unknown parts"):
+        DomainSpec(family, {}, 32, bc_overrides=overrides)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"famly": "disk"}', "famly"),
+    ('{"family": "disk", "resolutoin": 64}', "resolutoin"),
+    ('[1, 2]', "JSON object"),
+    ('{"family": "disk", "params": [1]}', "params"),
+    ('{"family": "rectangle", "bc_overrides": ["left"]}', "bc_overrides"),
+    ('{"resolution": 64}', "family"),
+    ('{"family": ["disk"]}', "family"),
+], ids=["typo_family", "typo_resolution", "array", "params_list",
+        "overrides_list", "no_family", "family_list"])
+def test_from_json_refuses_malformed_documents(text, key):
+    with pytest.raises(DomainError, match=key):
+        DomainSpec.from_json(text)
+
+
+L_ROWS = ["1100", "1100", "1111", "1111"]
+
+
+def default_params(family):
+    """The family's defaults; custom_mask's rows have none, so an L."""
+    return {"rows": L_ROWS} if family == "custom_mask" else {}
+
+
+@pytest.mark.parametrize("family", sorted(geo._FAMILIES))
+def test_every_reader_refuses_an_unknown_key(family):
+    """Each family's reader names an unknown parameter at construction;
+    every family but the rectangle also refuses any bc_overrides."""
+    params = default_params(family)
+    with pytest.raises(DomainError, match="unknown params.*bogus"):
+        DomainSpec(family, {**params, "bogus": 1.0}, 128)
+    if family != "rectangle":
+        with pytest.raises(DomainError, match="bc_overrides"):
+            DomainSpec(family, params, 128, bc_overrides={"left": "neumann"})
+
+
+# sha256 prefixes of (shape, h, origin), the mask, code(m) for m = mixed,
+# dirichlet and neumann, the masses and the regions, recorded before each
+# family was split into a reader and a builder.  Families at their default
+# parameters; the default dumbbell neck and octopus tentacle need r >= 100.
+BUILD_PINS = {
+    ("rectangle", "dirichlet", 64): "c91f0fb93390e845",
+    ("rectangle", "neumann", 64): "d4969b9f5c4d8c86",
+    ("disk", "dirichlet", 64): "7188ae84093f8b81",
+    ("disk", "neumann", 64): "bbd93b6d9e4054d9",
+    ("annulus", "dirichlet", 64): "9c12a9297bf5c554",
+    ("annulus", "neumann", 64): "b01d1651fb6f1f29",
+    ("dumbbell", "dirichlet", 128): "379f5c599af581f2",
+    ("dumbbell", "neumann", 128): "2c490020043f203a",
+    ("octopus", "dirichlet", 128): "9a808a4ab9d3c08b",
+    ("octopus", "neumann", 128): "5f5f1161de81bf25",
+    ("l_shape", "dirichlet", 64): "3defa1e46da96869",
+    ("l_shape", "neumann", 64): "162d5e2ed041b246",
+    ("custom_mask", "dirichlet", 64): "32c9a470edc7705d",
+    ("custom_mask", "neumann", 64): "277d14056d7c4c25",
+}
+MIXED_RECT = DomainSpec("rectangle", {"width": 2.0, "height": 1.0}, 64,
+                        "dirichlet",
+                        bc_overrides={"top": "neumann", "bottom": "neumann"})
+
+
+def build_digest(dom):
+    h = hashlib.sha256(repr((dom.shape, dom.h, dom.origin)).encode())
+    for a in (dom.mask, *(dom.code(m) for m in ("mixed", "dirichlet",
+                                                "neumann")), dom.masses):
+        h.update(a.tobytes())
+    for key in sorted(dom.regions):
+        h.update(key.encode())
+        h.update(dom.regions[key].tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family, bc, res", sorted(BUILD_PINS),
+                         ids=[f"{f}-{bc}" for f, bc, _ in sorted(BUILD_PINS)])
+def test_build_pinned(family, bc, res):
+    dom = build_domain(DomainSpec(family, default_params(family), res, bc))
+    assert build_digest(dom) == BUILD_PINS[family, bc, res]
+
+
+def test_mixed_rectangle_build_pinned():
+    assert build_digest(build_domain(MIXED_RECT)) == "3c6ece6d08a3a869"
 
 
 def test_custom_mask_refuses_pgm_and_needs_rows():

@@ -595,11 +595,6 @@ class TestHeat:
         with pytest.raises(ValueError, match="[Dd]irichlet"):
             survival_profile(dumbbell_n, 0.1)
 
-    def test_truncation_guard_raises(self, sq128d):
-        with pytest.raises(SpectralError, match="truncation"):
-            heat_semigroup(sq128d, np.ones(sq128d.dom.mask.shape), 0.0,
-                           max_truncation=1e-12)
-
     def test_negative_time_rejected(self, sq128d):
         with pytest.raises(ValueError):
             heat_semigroup(sq128d, np.ones(sq128d.dom.mask.shape), -0.1)
