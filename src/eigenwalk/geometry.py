@@ -16,7 +16,18 @@ diagonals.  Under Dirichlet walls it is active when all 9 probes lie in the
 closed shape, so boundary nodes are excluded (pinned to zero and
 eliminated); under Neumann walls when any probe does, so they are included
 with fractional cell masses, less those that would hold no quarter cell.
-The rounding of lattice coordinates decides nothing.  The rectangle applies
+The rounding of lattice coordinates decides nothing.  The centre probe is
+taken at every node, the other 8 only on the boundary band: the nodes with
+an 8-neighbor (or an off-lattice point, which counts as outside) whose
+centre is classified differently.  A probe can disagree with its node's
+centre only if the shape's boundary passes within 1e-9*h of the node.
+Each family's shape is made of lines and of circles many cells in radius,
+in pieces at least 4 nodes across or reaching the lattice's edge, so a
+boundary that close leaves a neighbor, or the edge, on its far side: a
+node off the band keeps its centre's class.  The one exception is an
+annulus hole that holds no node.  The whole-lattice probes leave such an
+annulus a disk too, except when the rim passes within 1e-9*h of a node;
+the band rule leaves it a disk then as well.  The rectangle applies
 the rule side by side, as its sides carry their own labels; custom masks
 are taken as given.  Discrete eigenvalues of the reflecting Laplacian
 converge at O(h^2) on lattice-aligned Neumann sides, but only at first
@@ -130,10 +141,18 @@ class DomainSpec:
         return DomainSpec(**doc)
 
     def to_json(self) -> str:
+        """The spec as a JSON object that from_json reads back to the same
+        build.  A number, numpy scalars included, is written as the Python
+        int or float the reader parses it to."""
+        def plain(value):
+            if isinstance(value, numbers.Integral):
+                return int(value)
+            return float(value) if isinstance(value, numbers.Real) else value
+
         return json.dumps({
             "family": self.family,
-            "params": dict(self.params),
-            "resolution": self.resolution,
+            "params": {key: plain(v) for key, v in self.params.items()},
+            "resolution": int(self.resolution),
             "bc_default": self.bc_default,
             "bc_overrides": dict(self.bc_overrides),
             "name": self.name,
@@ -375,14 +394,25 @@ def _raster(closed, X, Y, h: float, bc: int) -> np.ndarray:
     """The active-node rule (see the module docstring) for the closed shape
     ``closed(X, Y)``: under Dirichlet walls all 9 probes of a node lie in
     it, under Neumann walls any one does and the node holds a quarter cell.
-    The diagonal probes catch re-entrant corners."""
+    The diagonal probes catch re-entrant corners.  The centre probe is
+    taken at every node, the other 8 only on the band: nodes with an
+    8-neighbor whose centre is classified differently, a node off the
+    lattice counting as outside."""
+    out = closed(X, Y)
+    ny, nx = out.shape
+    pad = np.pad(out, 1)
+    band = np.zeros_like(out)
+    for dy, dx in itertools.product(range(3), repeat=2):
+        band |= pad[dy:dy + ny, dx:dx + nx] != out
+    by, bx = np.nonzero(band)
+    xb, yb, keep = X[by, bx], Y[by, bx], out[by, bx]
     delta = 1e-9 * h
     fold = np.logical_and if bc == DIRICHLET else np.logical_or
-    out = closed(X, Y)
     for dx in (-delta, 0.0, delta):
         for dy in (-delta, 0.0, delta):
             if dx or dy:
-                fold(out, closed(X + dx, Y + dy), out=out)
+                fold(keep, closed(xb + dx, yb + dy), out=keep)
+    out[by, bx] = keep
     return out if bc == DIRICHLET else _drop_massless(out)
 
 
@@ -831,16 +861,19 @@ def set_distance(a, b) -> float:
     from scipy.spatial import cKDTree
     ends_a, ends_b = segs_a.reshape(-1, 2), segs_b.reshape(-1, 2)
     tree_a, tree_b = cKDTree(ends_a), cKDTree(ends_b)
-    d_vv = float(tree_b.query(verts_a)[0].min())
+    near_a, near_b = tree_b.query(verts_a)[0], tree_a.query(verts_b)[0]
+    d_vv = float(near_a.min())
     longest = max(float(np.hypot(s[:, 2] - s[:, 0], s[:, 3] - s[:, 1]).max())
                   for s in (segs_a, segs_b))
     slack = 1.0 + 1e-12  # keeps pairs that tie with the bound to rounding
-    best = min(float(_point_segment_dist(verts[i], segs[j // 2]).min(
-                   initial=math.inf))
-               for verts, segs, tree in ((verts_a, segs_b, tree_b),
-                                         (verts_b, segs_a, tree_a))
-               for i, j in _near_pairs(tree, verts,
-                                       (d_vv + 0.5 * longest) * slack))
+    r = (d_vv + 0.5 * longest) * slack
+    best = math.inf
+    for verts, near, segs, tree in ((verts_a, near_a, segs_b, tree_b),
+                                    (verts_b, near_b, segs_a, tree_a)):
+        verts = verts[near <= r]  # the rest have no endpoint within r
+        for i, j in _near_pairs(tree, verts, r):
+            best = min(best, float(_point_segment_dist(
+                verts[i], segs[j // 2]).min(initial=math.inf)))
     if best > 0.0 and d_vv <= longest and any(
             _crosses(segs_a[i // 2], segs_b[j // 2]).any()
             for i, j in _near_pairs(tree_b, ends_a, longest * slack)):
@@ -876,12 +909,11 @@ def _as_segments(obj) -> tuple[np.ndarray, np.ndarray]:
 def _near_pairs(tree, pts: np.ndarray, r: float):
     """Index arrays (i, j) of the pairs with |pts[i] - tree.data[j]| <= r,
     for _BLOCK rows of pts at a time."""
+    from scipy.spatial import cKDTree
     for i0 in range(0, len(pts), _BLOCK):
-        hits = tree.query_ball_point(pts[i0:i0 + _BLOCK], r)
-        counts = np.fromiter(map(len, hits), np.intp, len(hits))
-        yield (np.repeat(np.arange(i0, i0 + len(hits)), counts),
-               np.fromiter(itertools.chain.from_iterable(hits), np.intp,
-                           int(counts.sum())))
+        pairs = cKDTree(pts[i0:i0 + _BLOCK]).sparse_distance_matrix(
+            tree, r, output_type="ndarray")
+        yield pairs["i"] + i0, pairs["j"]
 
 
 def _crosses(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:

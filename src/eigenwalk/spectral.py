@@ -152,6 +152,14 @@ def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperat
     are h^2 except at nodes whose quarter cell a re-entrant corner cuts
     off (0.75*h^2, with half-conductance edges along that quarter); away
     from those nodes B is the textbook 5-point stencil with diagonal 4/h^2.
+
+    B is built in one pass, straight into CSR, and is exactly symmetric
+    because each edge's entry is computed once and written to both
+    B[a, b] and B[b, a]: with s = m^{-1/2}, it is -w*(s_a*s_b).  As w is
+    1/2 or 1, scaling by it is exact, so this is also the float that
+    scaling K by diag(s) on both sides and averaging with the transpose
+    gives.  The diagonal entry of node a is (s_a*d_a)*s_a, d_a its summed
+    conductances (sums of halves, so exact in any order).
     """
     mask = dom.mask
     code = dom.code(bc_mode)
@@ -163,55 +171,6 @@ def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperat
     n = iy.size
     idx[iy, ix] = np.arange(n)
 
-    rows, cols, vals = [], [], []
-
-    def add_edges(a_idx, b_idx, w):
-        keep = w > 0
-        a, b, w = a_idx[keep], b_idx[keep], w[keep]
-        rows.extend((a, b, a, b))
-        cols.extend((b, a, a, b))
-        vals.extend((-w, -w, w, w))
-
-    # x-edges: both endpoints active, conductance from the two half-faces
-    pa = mask[:, :-1] & mask[:, 1:]
-    ay, ax = np.nonzero(pa)
-    if ay.size:
-        up = (quarters[(1, 1)][ay, ax] & quarters[(-1, 1)][ay, ax + 1])
-        dn = (quarters[(1, -1)][ay, ax] & quarters[(-1, -1)][ay, ax + 1])
-        w = 0.5 * up + 0.5 * dn
-        add_edges(idx[ay, ax], idx[ay, ax + 1], w)
-
-    # y-edges
-    pa = mask[:-1, :] & mask[1:, :]
-    ay, ax = np.nonzero(pa)
-    if ay.size:
-        rt = (quarters[(1, 1)][ay, ax] & quarters[(1, -1)][ay + 1, ax])
-        lt = (quarters[(-1, 1)][ay, ax] & quarters[(-1, -1)][ay + 1, ax])
-        w = 0.5 * rt + 0.5 * lt
-        add_edges(idx[ay, ax], idx[ay + 1, ax], w)
-
-    # Dirichlet walls pin a ghost value of zero one lattice step out; the
-    # ghost edge keeps its diagonal contribution.  Quarter pairs flanking
-    # each direction: +x, -x, +y, -y.
-    flank = {0: ((1, 1), (1, -1)), 1: ((-1, 1), (-1, -1)),
-             2: ((1, 1), (-1, 1)), 3: ((1, -1), (-1, -1))}
-    for d in range(4):
-        wy, wx = np.nonzero(code & (16 << d))
-        if not wy.size:
-            continue
-        qa, qb = flank[d]
-        w = 0.5 * quarters[qa][wy, wx] + 0.5 * quarters[qb][wy, wx]
-        keep = w > 0
-        rows.append(idx[wy, wx][keep])
-        cols.append(idx[wy, wx][keep])
-        vals.append(w[keep])
-
-    K = sparse.coo_matrix(
-        (np.concatenate(vals) if vals else np.empty(0),
-         (np.concatenate(rows) if rows else np.empty(0, dtype=np.int64),
-          np.concatenate(cols) if cols else np.empty(0, dtype=np.int64))),
-        shape=(n, n)).tocsr()
-
     m = masses[iy, ix]
     if (m <= 0).any():
         j = int(np.argmax(m <= 0))
@@ -221,8 +180,50 @@ def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperat
             f"finite-volume mass is zero; the domain is under-resolved at "
             f"its boundary there")
     s = 1.0 / np.sqrt(m)
-    B = sparse.diags(s) @ K @ sparse.diags(s)
-    B = ((B + B.T) * 0.5).tocsr()  # exact symmetry against summation order
+
+    # a row's entries in column order (row-major node order): the -y
+    # neighbor, the -x neighbor, the node itself, +x, +y; a slot with no
+    # entry keeps column -1
+    cols = np.full((n, 5), -1, dtype=np.int64)
+    vals = np.zeros((n, 5))
+    diag = np.zeros(n)
+
+    def add_edges(a, b, w, slot_a, slot_b):
+        keep = w > 0
+        a, b, w = a[keep], b[keep], w[keep]
+        cols[a, slot_a], cols[b, slot_b] = b, a
+        vals[a, slot_a] = vals[b, slot_b] = -w * (s[a] * s[b])
+        diag[:] += np.bincount(a, w, n) + np.bincount(b, w, n)
+
+    # x-edges: both endpoints active, conductance from the two half-faces
+    ay, ax = np.nonzero(mask[:, :-1] & mask[:, 1:])
+    up = (quarters[(1, 1)][ay, ax] & quarters[(-1, 1)][ay, ax + 1])
+    dn = (quarters[(1, -1)][ay, ax] & quarters[(-1, -1)][ay, ax + 1])
+    add_edges(idx[ay, ax], idx[ay, ax + 1], 0.5 * up + 0.5 * dn, 3, 1)
+
+    # y-edges
+    ay, ax = np.nonzero(mask[:-1, :] & mask[1:, :])
+    rt = (quarters[(1, 1)][ay, ax] & quarters[(1, -1)][ay + 1, ax])
+    lt = (quarters[(-1, 1)][ay, ax] & quarters[(-1, -1)][ay + 1, ax])
+    add_edges(idx[ay, ax], idx[ay + 1, ax], 0.5 * rt + 0.5 * lt, 4, 0)
+
+    # Dirichlet walls pin a ghost value of zero one lattice step out; the
+    # ghost edge keeps its diagonal contribution.  Quarter pairs flanking
+    # each direction: +x, -x, +y, -y.
+    flank = {0: ((1, 1), (1, -1)), 1: ((-1, 1), (-1, -1)),
+             2: ((1, 1), (-1, 1)), 3: ((1, -1), (-1, -1))}
+    for d in range(4):
+        wy, wx = np.nonzero(code & (16 << d))
+        qa, qb = flank[d]
+        w = 0.5 * quarters[qa][wy, wx] + 0.5 * quarters[qb][wy, wx]
+        diag += np.bincount(idx[wy, wx], w, n)
+
+    has = diag != 0
+    cols[has, 2] = np.nonzero(has)[0]
+    vals[:, 2] = (s * diag) * s
+    keep = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    B = sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
     return LaplaceOperator(matrix=B, sqrt_mass=np.sqrt(m), masses=m,
                            iy=iy, ix=ix, dom=dom, bc_mode=bc_mode)
 
@@ -295,11 +296,11 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
     Deterministic for a fixed seed (it only sets the start vector) and a
     fixed BLAS thread count.  Problems of at most max(4k, 256) nodes are
     solved densely.  Larger ones are split into parity blocks, and each
-    block goes through shift-inverted Lanczos (eigsh) for k pairs, shifted
-    to sigma = -1/L^2 with L the diagonal of the domain's bounding box:
-    just below the spectrum at the domain's own scale, so the wanted
-    eigenvalues of the inverse stay far apart (a shift at the scale of the
-    largest entry, ~4/h^2, bunches them).  eigsh stops at the relative
+    block goes through shift-inverted Lanczos (eigsh), shifted to
+    sigma = -1/L^2 with L the diagonal of the domain's bounding box: just
+    below the spectrum at the domain's own scale, so the wanted eigenvalues
+    of the inverse stay far apart (a shift at the scale of the largest
+    entry, ~4/h^2, bunches them).  eigsh stops at the relative
     tolerance residual_tol/100, and its Ritz pairs are taken as they come.
 
     When B commutes exactly with a lattice mirror (see _mirror) and its
@@ -311,14 +312,25 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
     of half the size.  Eigenvalues shared by the two halves (exactly
     degenerate pairs, as on a four-armed octopus) come back in this
     parity-adapted basis: one field even under the mirror, one odd.
-    Otherwise B itself is the one block.
+    Otherwise B itself is the one block, asked for k pairs.
+
+    Each half is first asked for its share, min(k, ceil(k/2) + 2) pairs
+    (8 at k = 12).  A half that returned fewer than k pairs, all of them
+    among the lowest k of the union, may hold more of them, so it is
+    solved again for k; a half with a pair outside the lowest k holds no
+    more, as its unreturned eigenvalues lie above that pair.  As
+    2 * share > k, at most one half is solved again.  The trust is the
+    one the k-pair solves needed: that eigsh returns the lowest pairs of
+    each block it is asked for.  Nothing proves that the k pairs are the
+    lowest k of B; the residual check proves each is an eigenpair.
 
     The route (dense, Lanczos, or Lanczos on x- or y-mirror halves, with
-    the sizes and sigma) is logged at DEBUG to the "eigenwalk" logger.  A
-    block whose Lanczos run does not converge raises SpectralError naming
-    the block.  Residuals are measured on the full B either way; if any
-    misses residual_tol * (1 + lam), or is NaN, raises SpectralError
-    quoting it.
+    the sizes, sigma and the pairs asked of each half) and any half solved
+    again are logged at DEBUG to the "eigenwalk" logger.  A block whose
+    Lanczos run does not converge raises SpectralError naming the block
+    and the pairs it was asked for.  Residuals are measured on the full
+    B either way; if any misses residual_tol * (1 + lam), or is NaN,
+    raises SpectralError quoting it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -341,30 +353,47 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
         if halves is None or halves[1].shape[1] <= dense_max:  # odd: smaller
             _log.debug("solve_eigs %r: Lanczos, n=%d, sigma=%.6g",
                        name, n, sigma)
-            blocks = [(None, f"{name!r}")]
+            blocks, share = [(B, None, f"{name!r}")], k
         else:
-            _log.debug("solve_eigs %r: Lanczos on %s-mirror halves, "
-                       "n_even=%d, n_odd=%d, sigma=%.6g", name, mirror[0],
-                       halves[0].shape[1], halves[1].shape[1], sigma)
-            blocks = [(Q, f"the {part} {mirror[0]}-mirror half of {name!r}")
+            share = min(k, -(-k // 2) + 2)
+            route = f"solve_eigs {name!r}: Lanczos on {mirror[0]}-mirror halves"
+            _log.debug("%s, n_even=%d, n_odd=%d, sigma=%.6g, %d pairs asked "
+                       "of each", route, halves[0].shape[1],
+                       halves[1].shape[1], sigma, share)
+            blocks = [((Q.T @ B @ Q).tocsr(), Q,
+                       f"the {part} {mirror[0]}-mirror half of {name!r}")
                       for Q, part in zip(halves, ("even", "odd"))]
-        lams, Us = [], []
-        for Q, what in blocks:  # Q: the block's basis, None for B itself
-            A = B if Q is None else (Q.T @ B @ Q).tocsr()
+
+        def solve(A, Q, what, pairs):  # Q: A's basis, None for B itself
             try:
-                lam_b, V = eigsh(A, k=k, sigma=sigma, which="LM",
+                lam_b, V = eigsh(A, k=pairs, sigma=sigma, which="LM",
                                  v0=v0 if Q is None else Q.T @ v0,
                                  tol=residual_tol / 100,
                                  maxiter=max(1000, 20 * k),
                                  OPinv=_shift_invert(A, sigma))
             except ArpackNoConvergence as exc:
                 raise SpectralError(
-                    f"Lanczos converged only {len(exc.eigenvalues)}/{k} "
+                    f"Lanczos converged only {len(exc.eigenvalues)}/{pairs} "
                     f"eigenpairs on {what} (n={A.shape[0]}); try fewer "
                     f"pairs or a coarser grid") from exc
-            lams.append(lam_b)
-            Us.append(V if Q is None else Q @ V)
-        lam, U = np.concatenate(lams), np.hstack(Us)
+            return lam_b, V if Q is None else Q @ V
+
+        solved = [solve(*block, share) for block in blocks]
+        if share < k:
+            # a half whose every pair is among the lowest k of the union
+            # may hold more of them, so it is solved again for k; one half
+            # at most, as 2 * share > k
+            lowest = np.argsort(np.concatenate([s[0] for s in solved]),
+                                kind="stable")[:k]
+            for i, block in enumerate(blocks):
+                if np.isin(np.arange(i * share, (i + 1) * share),
+                           lowest).all():
+                    _log.debug("%s: all %d pairs of %s are among the lowest "
+                               "%d; solving it again for %d", route, share,
+                               block[2], k, k)
+                    solved[i] = solve(*block, k)
+        lam = np.concatenate([s[0] for s in solved])
+        U = np.hstack([s[1] for s in solved])
 
     order = np.argsort(lam, kind="stable")[:k]
     lam, U = lam[order], U[:, order]
@@ -379,18 +408,12 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
             f"exceeds {residual_tol:g}*(1+lam) on {op.dom.name!r}")
 
     h = op.dom.h
-    fields = []
-    for j in range(k):
-        v = U[:, j] / op.sqrt_mass
-        v /= math.sqrt(h * h * float(v @ v))
-        fields.append(v)
-
+    fields = np.ascontiguousarray(U.T) / op.sqrt_mass  # a row per field
+    fields /= np.sqrt(h * h * np.vecdot(fields, fields))[:, np.newaxis]
     _fix_signs(op, fields)
-    grids = []
-    for v in fields:
-        g = op.vector_to_field(v)
-        g.setflags(write=False)
-        grids.append(g)
+    grids = np.zeros((k, *op.dom.mask.shape))
+    grids[:, op.iy, op.ix] = fields
+    grids.setflags(write=False)
     lam.setflags(write=False)
     res.setflags(write=False)
     return SpectralResult(eigenvalues=lam, eigenfields=tuple(grids),
@@ -425,42 +448,27 @@ def _first_significant(w, rel: float) -> float:
 # heat flow
 
 
-def _project(result: SpectralResult, f0_vec: np.ndarray):
-    """Mass-weighted coefficients of f0 on the computed fields, plus the
-    mass-norm of what the basis cannot represent."""
-    op = result.operator
-    m = op.masses
-    coeffs = np.empty(result.k)
-    recon = np.zeros_like(f0_vec)
-    for j, g in enumerate(result.eigenfields):
-        v = g[op.iy, op.ix]
-        coeffs[j] = float(np.sum(m * v * f0_vec)) / float(np.sum(m * v * v))
-        recon += coeffs[j] * v
-    tail = f0_vec - recon
-    tail_norm = math.sqrt(float(np.sum(m * tail * tail)))
-    return coeffs, tail_norm
-
-
 def heat_semigroup(result: SpectralResult, f0, t: float) -> HeatState:
     """Evolve f0 by the heat semigroup using the computed eigenbasis.
 
     f0 is a (ny, nx) array (values off-domain are ignored) and t a finite
-    time >= 0; NaN and infinity raise ValueError.  The dropped component
-    is bounded by exp(-lam_k * t) * ||f0 - proj f0||, reported as
-    HeatState.truncation_bound.
+    time >= 0; NaN and infinity raise ValueError.  f0 is projected onto
+    the fields with the mass-weighted inner product.  The dropped
+    component is bounded by exp(-lam_k * t) * ||f0 - proj f0||, its mass
+    norm, reported as HeatState.truncation_bound.
     """
     if not 0.0 <= t < math.inf:  # also refuses NaN
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     op = result.operator
     f0_vec = op.field_to_vector(f0)
-    coeffs, tail_norm = _project(result, f0_vec)
+    fields = np.stack([g[op.iy, op.ix] for g in result.eigenfields])
+    weighted = op.masses * fields
+    coeffs = (weighted @ f0_vec) / np.vecdot(weighted, fields)
+    tail = f0_vec - coeffs @ fields
+    tail_norm = math.sqrt(float(np.sum(op.masses * tail * tail)))
     lam = result.eigenvalues
     bound = math.exp(-float(lam[-1]) * t) * tail_norm
-    u = np.zeros(op.n)
-    for j in range(result.k):
-        v = result.eigenfields[j][op.iy, op.ix]
-        u += coeffs[j] * math.exp(-float(lam[j]) * t) * v
-    g = op.vector_to_field(u)
+    g = op.vector_to_field((coeffs * np.exp(-lam * t)) @ fields)
     g.setflags(write=False)
     return HeatState(t=float(t), field=g, bc_mode=result.bc_mode,
                      truncation_bound=bound)

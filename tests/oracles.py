@@ -1,16 +1,21 @@
 """Independent reference implementations used to validate package code.
 
 Everything here is deliberately written the slow, obvious way: closed
-forms where they exist, O(n^2) scans where they do not.  Two share code
+forms where they exist, O(n^2) scans where they do not.  Four share code
 with the package.  walk_batch uses its cell walk, because it checks how
 the walker schedules steps, not the step rule itself; its normals come
 from fill_normals here.  theta_series uses its series terms, because it
-checks how theta sums them.
+checks how theta sums them.  raster and assemble_laplacian are the
+package's earlier whole-lattice forms, kept as bitwise references for
+the band-only raster and the one-pass assembly: they read the package's
+quarter cells and masses, because they check where probes and entries
+are computed, not the finite-volume rule itself.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sparse
 
 
 def segment_pair_distance(p1, p2, q1, q2) -> float:
@@ -316,3 +321,93 @@ def theta_series(n, c):
         start = count + 1
         count = min(4 * count, MAX_TERMS)
     return min(1.0, max(0.0, 1.0 - survival)), first_omitted, terms_used
+
+
+def raster(closed, X, Y, h, bc):
+    """The active-node rule with all 9 probes taken at every node of the
+    lattice: the mask `geometry._raster` must give bit for bit."""
+    from eigenwalk.geometry import DIRICHLET, _drop_massless
+
+    delta = 1e-9 * h
+    fold = np.logical_and if bc == DIRICHLET else np.logical_or
+    out = closed(X, Y)
+    for dx in (-delta, 0.0, delta):
+        for dy in (-delta, 0.0, delta):
+            if dx or dy:
+                fold(out, closed(X + dx, Y + dy), out=out)
+    return out if bc == DIRICHLET else _drop_massless(out)
+
+
+def assemble_laplacian(dom, bc_mode="mixed"):
+    """(B, masses) by way of the stiffness matrix K: COO triplets summed
+    into CSR, scaled by diags(m^{-1/2}) on both sides, then averaged with
+    its transpose.  `spectral.assemble_laplacian` must give the same CSR
+    arrays bit for bit."""
+    from eigenwalk.geometry import _masses, _quarter_presence
+
+    mask = dom.mask
+    code = dom.code(bc_mode)
+    quarters = _quarter_presence(mask, code)
+    masses = _masses(quarters, dom.h)
+    idx = np.full(mask.shape, -1, dtype=np.int64)
+    iy, ix = np.nonzero(mask)
+    n = iy.size
+    idx[iy, ix] = np.arange(n)
+    rows, cols, vals = [], [], []
+
+    def add_edges(a_idx, b_idx, w):
+        keep = w > 0
+        a, b, w = a_idx[keep], b_idx[keep], w[keep]
+        rows.extend((a, b, a, b))
+        cols.extend((b, a, a, b))
+        vals.extend((-w, -w, w, w))
+
+    ay, ax = np.nonzero(mask[:, :-1] & mask[:, 1:])
+    up = quarters[(1, 1)][ay, ax] & quarters[(-1, 1)][ay, ax + 1]
+    dn = quarters[(1, -1)][ay, ax] & quarters[(-1, -1)][ay, ax + 1]
+    add_edges(idx[ay, ax], idx[ay, ax + 1], 0.5 * up + 0.5 * dn)
+    ay, ax = np.nonzero(mask[:-1, :] & mask[1:, :])
+    rt = quarters[(1, 1)][ay, ax] & quarters[(1, -1)][ay + 1, ax]
+    lt = quarters[(-1, 1)][ay, ax] & quarters[(-1, -1)][ay + 1, ax]
+    add_edges(idx[ay, ax], idx[ay + 1, ax], 0.5 * rt + 0.5 * lt)
+    flank = {0: ((1, 1), (1, -1)), 1: ((-1, 1), (-1, -1)),
+             2: ((1, 1), (-1, 1)), 3: ((1, -1), (-1, -1))}
+    for d in range(4):
+        wy, wx = np.nonzero(code & (16 << d))
+        qa, qb = flank[d]
+        w = 0.5 * quarters[qa][wy, wx] + 0.5 * quarters[qb][wy, wx]
+        keep = w > 0
+        rows.append(idx[wy, wx][keep])
+        cols.append(idx[wy, wx][keep])
+        vals.append(w[keep])
+    K = sparse.coo_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n)).tocsr()
+    m = masses[iy, ix]
+    s = 1.0 / np.sqrt(m)
+    B = sparse.diags(s) @ K @ sparse.diags(s)
+    return ((B + B.T) * 0.5).tocsr(), m
+
+
+def heat_semigroup(result, f0, t):
+    """(field, truncation_bound) of `spectral.heat_semigroup` by a loop
+    over the fields, each gathered onto the active nodes and projected on
+    its own.  The package sums the same terms in another order, so the two
+    agree to rounding, not bit for bit."""
+    op = result.operator
+    m = op.masses
+    f0_vec = np.asarray(f0, dtype=float)[op.iy, op.ix]
+    coeffs, recon = [], np.zeros_like(f0_vec)
+    for g in result.eigenfields:
+        v = g[op.iy, op.ix]
+        coeffs.append(float(np.sum(m * v * f0_vec)) / float(np.sum(m * v * v)))
+        recon += coeffs[-1] * v
+    tail = f0_vec - recon
+    bound = (math.exp(-float(result.eigenvalues[-1]) * t)
+             * math.sqrt(float(np.sum(m * tail * tail))))
+    u = np.zeros(op.n)
+    for c, lam, g in zip(coeffs, result.eigenvalues, result.eigenfields):
+        u += c * math.exp(-float(lam) * t) * g[op.iy, op.ix]
+    field = np.zeros(op.dom.mask.shape)
+    field[op.iy, op.ix] = u
+    return field, bound

@@ -235,6 +235,25 @@ def test_spec_json_roundtrip():
     assert back.bc_default == spec.bc_default
 
 
+def test_spec_json_roundtrip_numpy_scalars():
+    """The constructor takes numpy scalars as numbers; to_json writes them
+    as the values the reader parses, so from_json builds the same
+    domain."""
+    spec = DomainSpec("octopus", {"body_radius": np.float32(0.7),
+                                  "tentacle_width": np.float64(0.3),
+                                  "tentacle_count": np.int64(3)},
+                      np.int32(48), "neumann")
+    back = DomainSpec.from_json(spec.to_json())
+    assert back.params == {"body_radius": float(np.float32(0.7)),
+                           "tentacle_width": 0.3, "tentacle_count": 3}
+    assert back.resolution == 48
+    assert build_digest(build_domain(back)) == build_digest(
+        build_domain(spec))
+    disk = DomainSpec("disk", {"radius": np.float32(0.5)}, 32)
+    assert build_digest(build_domain(DomainSpec.from_json(
+        disk.to_json()))) == build_digest(build_domain(disk))
+
+
 def test_mixed_bc_rectangle_mass_and_labels():
     dom = unit_square(resolution=32, bc="neumann",
                       overrides={"left": "dirichlet"})
@@ -401,6 +420,74 @@ def test_build_pinned(family, bc, res):
 
 def test_mixed_rectangle_build_pinned():
     assert build_digest(build_domain(MIXED_RECT)) == "3c6ece6d08a3a869"
+
+
+def random_shape(family, res, bc, rng, aligned=False):
+    """A spec of a shaped family with random parameters that builds at res:
+    necks and arms drawn at least 4.5 nodes across.  An aligned dumbbell or
+    L puts its corners on lattice nodes, where the diagonal probes decide
+    re-entrant corners."""
+    if family == "disk":
+        return DomainSpec(family, {"radius": rng.uniform(0.2, 3.0)}, res, bc)
+    if family == "annulus":
+        ro = rng.uniform(0.5, 2.0)
+        return DomainSpec(family, {"outer_radius": ro,
+                                   "inner_radius": ro * rng.uniform(0.1, 0.9)},
+                          res, bc)
+    if family == "l_shape" and aligned:  # corners on nodes: h = 1/res
+        m = int(rng.integers(res // 4, res))
+        return DomainSpec(family, {
+            "width": 1.0, "height": m / res,
+            "notch_width": int(rng.integers(1, res)) / res,
+            "notch_height": int(rng.integers(1, m)) / res}, res, bc)
+    if family == "l_shape":
+        w, ht = rng.uniform(0.5, 2.0, size=2)
+        return DomainSpec(family, {"width": w, "height": ht,
+                                   "notch_width": w * rng.uniform(0.1, 0.9),
+                                   "notch_height": ht * rng.uniform(0.1, 0.9)},
+                          res, bc)
+    if family == "dumbbell" and aligned:  # corners on nodes: h = 1/res
+        p = int(rng.integers(res // 4, res // 2))
+        lh = int(rng.integers(12, res // 2))
+        return DomainSpec(family, {
+            "lobe_width": p / res, "neck_length": (res - 2 * p) / res,
+            "lobe_height": lh / res,
+            "neck_width": (lh - 2 * int(rng.integers(1, lh // 2 - 2))) / res},
+            res, bc)
+    if family == "dumbbell":
+        lw, lh, nl = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5), \
+            rng.uniform(0.1, 1.0)
+        h = max(2 * lw + nl, lh) / res
+        return DomainSpec(family, {
+            "lobe_width": lw, "lobe_height": lh, "neck_length": nl,
+            "neck_width": rng.uniform(min(4.5 * h, 0.5 * lh), 0.9 * lh)},
+            res, bc)
+    rb, tl = rng.uniform(0.5, 1.5), rng.uniform(0.2, 1.5)
+    h = 2 * (rb + tl + rb) / res  # the bounding box is at most this wide
+    return DomainSpec(family, {
+        "body_radius": rb, "tentacle_length": tl,
+        "tentacle_count": int(rng.integers(1, 9)),
+        "tentacle_width": rng.uniform(min(4.5 * h, 0.5 * rb), 0.9 * rb)},
+        res, bc)
+
+
+@pytest.mark.parametrize("res", [40, 97, 181])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("family", ["annulus", "disk", "dumbbell",
+                                    "l_shape", "octopus"])
+def test_band_raster_matches_whole_lattice_probes(family, bc, res,
+                                                  monkeypatch):
+    """_raster takes the 8 offset probes on the boundary band only; mask,
+    wall codes, masses and regions are bit for bit those of
+    oracles.raster, which takes all 9 probes at every node, on three
+    random specs per family, resolution and wall condition, one of them
+    aligned."""
+    rng = np.random.default_rng([res, len(family), bc == "neumann"])
+    specs = [random_shape(family, res, bc, rng, aligned)
+             for aligned in (False, False, True)]
+    band = [build_digest(build_domain(spec)) for spec in specs]
+    monkeypatch.setattr(geo, "_raster", oracles.raster)
+    assert band == [build_digest(build_domain(spec)) for spec in specs]
 
 
 def test_custom_mask_refuses_pgm_and_needs_rows():

@@ -65,6 +65,26 @@ def tiny_domain(n=3, h=1.0, labels=0):
     return GridDomain("tiny", h, (0.0, 0.0), mask, lab)
 
 
+# every family, with both wall conditions among them
+ASSEMBLY_SPECS = {
+    "rectangle-mixed": DomainSpec("rectangle", {"width": 2.0}, 40, "neumann",
+                                  bc_overrides={"left": "dirichlet",
+                                                "top": "dirichlet"}),
+    "disk-N": DomainSpec("disk", {}, 64, "neumann"),
+    "annulus-D": DomainSpec("annulus", {"inner_radius": 0.3}, 64),
+    "dumbbell-D": DomainSpec("dumbbell", {"neck_width": 0.25}, 128),
+    "dumbbell-N": DomainSpec("dumbbell", {"neck_width": 0.25}, 128,
+                             "neumann"),
+    "octopus-3-N": DomainSpec("octopus", {"tentacle_count": 3,
+                                          "tentacle_width": 0.4}, 100,
+                              "neumann"),
+    "l_shape-N": DomainSpec("l_shape", {}, 48, "neumann"),
+    "custom_mask-D": DomainSpec("custom_mask",
+                                {"rows": ["0110", "1111", "1111", "0110"]},
+                                16),
+}
+
+
 class TestAssembly:
     def test_unit_spacing_dirichlet_stencil(self):
         op = assemble_laplacian(tiny_domain(3, 1.0), "dirichlet")
@@ -145,6 +165,21 @@ class TestAssembly:
         if arms is None:
             assert not dom.contains([1.0, -1.0, 0.0, 0.0],
                                     [0.0, 0.0, 1.0, -1.0]).any()
+
+
+    @pytest.mark.parametrize("mode", ["mixed", "dirichlet", "neumann"])
+    @pytest.mark.parametrize("key", sorted(ASSEMBLY_SPECS))
+    def test_one_pass_matches_reference(self, key, mode):
+        """The one-pass CSR build gives the arrays of
+        oracles.assemble_laplacian (COO sum, two diagonal scalings, the
+        average with the transpose) bit for bit, dtypes included."""
+        op = assemble_laplacian(build_domain(ASSEMBLY_SPECS[key]), mode)
+        B, m = oracles.assemble_laplacian(op.dom, mode)
+        for part in ("data", "indices", "indptr"):
+            got, want = getattr(op.matrix, part), getattr(B, part)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(op.masses, m)
+        assert np.array_equal(op.sqrt_mass, np.sqrt(m))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +513,8 @@ class TestMirrorSplit:
         left-right mirror maps them onto reflecting walls, so B does not
         commute with it; the up-down mirror holds and is taken.  So too on
         the rectangle with Dirichlet left and Neumann elsewhere, whose mask
-        already breaks the left-right mirror."""
+        already breaks the left-right mirror, and whose even half is
+        solved again."""
         labels = np.array([NEUMANN, DIRICHLET, NEUMANN, NEUMANN])
         walls = GridDomain("walls", 1 / 40, (0.0, 0.0),
                            np.ones((30, 40), dtype=bool),
@@ -489,13 +525,41 @@ class TestMirrorSplit:
         for dom in (walls, left):
             op = assemble_laplacian(dom, "mixed")
             assert spectral._mirror(op)[0] == "y"
+            caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="eigenwalk"):
                 r = solve_eigs(op, k=12, seed=0)
             assert "Lanczos on y-mirror halves" in _routes(caplog)[-1]
+            # the rectangle's lowest 12 hold 8 even pairs: every pair its
+            # even half returned at its share, so that half is solved again
+            again = [line for line in _routes(caplog) if "again" in line]
+            assert again == ([] if dom is walls else [
+                "solve_eigs 'rectangle': Lanczos on y-mirror halves: all 8 "
+                "pairs of the even y-mirror half of 'rectangle' are among "
+                "the lowest 12; solving it again for 12"])
             want = scipy.linalg.eigh(op.matrix.toarray(),
                                      eigvals_only=True)[:12]
             np.testing.assert_allclose(r.eigenvalues, want, rtol=1e-10,
                                        atol=1e-10)
+
+    def test_each_half_asked_for_its_share(self, monkeypatch, caplog):
+        """At k = 12 each half asks eigsh for ceil(12/2) + 2 = 8 pairs; the
+        dumbbell's lowest 12 are 6 even and 6 odd, so neither half is
+        solved again."""
+        spec, bc = MIRRORED["dumbbell-D"]
+        op = assemble_laplacian(build_domain(spec), bc)
+        real, asked = spectral.eigsh, []
+
+        def eigsh(A, k, **kw):
+            asked.append(k)
+            return real(A, k, **kw)
+
+        monkeypatch.setattr(spectral, "eigsh", eigsh)
+        with caplog.at_level(logging.DEBUG, logger="eigenwalk"):
+            solve_eigs(op, k=12, seed=0)
+        assert asked == [8, 8]
+        routes = _routes(caplog)
+        assert len(routes) == 1
+        assert routes[0].endswith(", 8 pairs asked of each")
 
     def test_dirichlet_disk_takes_x_mirror(self):
         """At r=150 the circle passes within rounding of lattice nodes; the
@@ -513,21 +577,23 @@ class TestMirrorSplit:
     @pytest.mark.parametrize("case", ["walls", "dumbbell-D"])
     def test_no_convergence_names_the_block(self, case, monkeypatch):
         """A Lanczos run that stops short raises SpectralError naming its
-        block and how many pairs converged: B itself on the unsplit route
-        (the "walls" mask of test_unsplit_routes_match_dense), the odd
-        half on the split one, after the even half has solved."""
+        block and how many of the pairs it was asked for converged: B
+        itself on the unsplit route (the "walls" mask of
+        test_unsplit_routes_match_dense), asked for 12, the odd half on
+        the split one, asked for its share of 8, after the even half has
+        solved."""
         if case == "walls":
             labels = np.array([NEUMANN, DIRICHLET, NEUMANN, DIRICHLET])
             dom = GridDomain("walls", 1 / 40, (0.0, 0.0),
                              np.ones((30, 40), dtype=bool),
                              labels.reshape(4, 1, 1))
             op = assemble_laplacian(dom, "mixed")
-            fail_at, what = 1, f"'walls' (n={op.n})"
+            fail_at, what, asked = 1, f"'walls' (n={op.n})", 12
         else:
             spec, bc = MIRRORED[case]
             op = assemble_laplacian(build_domain(spec), bc)
             n_odd = spectral._parity_bases(spectral._mirror(op)[1])[1].shape[1]
-            fail_at = 2
+            fail_at, asked = 2, 8
             what = f"the odd x-mirror half of {op.dom.name!r} (n={n_odd})"
         real, calls = spectral.eigsh, []
 
@@ -542,7 +608,7 @@ class TestMirrorSplit:
         with pytest.raises(SpectralError) as err:
             solve_eigs(op, k=12, seed=0)
         assert str(err.value).startswith(
-            f"Lanczos converged only 5/12 eigenpairs on {what};")
+            f"Lanczos converged only 5/{asked} eigenpairs on {what};")
         assert isinstance(err.value.__cause__, ArpackNoConvergence)
         assert len(calls) == fail_at
 
@@ -573,6 +639,20 @@ class TestHeat:
             proj += c * v
         hs = heat_semigroup(sq128d, np.ones(sq128d.dom.mask.shape), 0.0)
         assert np.abs(op.field_to_vector(hs.field) - proj).max() < 1e-12
+
+    @pytest.mark.parametrize("t", [0.0, 0.01, 0.2])
+    def test_matches_loop_reference(self, sq128d, dumbbell_n, t):
+        """The stacked projection against oracles.heat_semigroup's loop
+        over the fields, on a random f0: the same terms summed in another
+        order, so equal to 1e-12 of the largest value, not bit for bit."""
+        rng = np.random.default_rng(11)
+        for r in (sq128d, dumbbell_n):
+            f0 = rng.uniform(-1.0, 1.0, r.dom.mask.shape)
+            got = heat_semigroup(r, f0, t)
+            field, bound = oracles.heat_semigroup(r, f0, t)
+            scale = np.abs(field).max()
+            assert np.abs(got.field - field).max() <= 1e-12 * scale
+            assert got.truncation_bound == pytest.approx(bound, rel=1e-12)
 
     def test_survival_in_unit_range_up_to_truncation(self, sq128d):
         for t in (0.01, 0.05, 0.1):
