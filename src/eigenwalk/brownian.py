@@ -96,7 +96,7 @@ import numpy as np
 
 from ._rng import batch_rng, fill_normals, map_batches
 from .geometry import GridDomain, active_cell
-from .spectral import SpectralResult, grid_hash
+from .spectral import SpectralResult
 
 __all__ = [
     "BrownianError",
@@ -619,19 +619,25 @@ def feynman_kac(dom: GridDomain, result: SpectralResult, x, t: float,
 
     Path behavior follows result.bc_mode: killed paths for a Dirichlet
     spectrum, reflected (never killed) for Neumann, per-label for mixed.
+    Any dom but result.dom or one with its h, origin, mask and wall code
+    under that condition raises BrownianError, even at t = 0.
     The eigenfield is bilinearly interpolated; t=0 returns phi(x) exactly.
     Reading phi that way at the path ends biases the mean by about
     -(h^2/12) * lam * exact (the mean interpolation error of a mode with
     Laplacian -lam * phi); the bias note gives the value, and z_score does
     not subtract it.
     """
-    if grid_hash(result.dom) != grid_hash(dom):
-        raise BrownianError("eigenfield grid does not match the domain")
+    src, bc = result.dom, result.bc_mode
+    if dom is not src and not (dom.h == src.h and dom.origin == src.origin
+                               and np.array_equal(dom.mask, src.mask)
+                               and np.array_equal(dom.code(bc), src.code(bc))):
+        raise BrownianError(f"{dom.name!r} is not the lattice and {bc} "
+                            f"walls the spectrum was solved on")
     if not (isinstance(mode_index, (int, np.integer))
             and 0 <= mode_index < result.k):
         raise BrownianError(f"mode_index {mode_index!r} is not one of the "
                             f"{result.k} computed modes")
-    kern = _Kernel(dom, result.bc_mode)
+    kern = _Kernel(dom, bc)
     start = _start_point(kern, x)
     grid = result.eigenfields[mode_index]
     lam = float(result.eigenvalues[mode_index])
@@ -662,9 +668,10 @@ def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
     Runs cfg.n_paths killed/reflected paths (per the domain's labels) from
     each node of a subsampled start grid, all in one walk, forms
     S(t) ~ integral of survival, and fits -d log S / dt by least squares
-    over t_grid.  If the log-survival curve bends more than fit_tol (rms,
-    relative to its drop), the decay is not yet single-mode: raises with
-    advice to extend t_grid.
+    over t_grid, its times rounded to whole steps of the resolved dt; fewer
+    than 3 distinct steps raise.  If the log-survival curve bends more
+    than fit_tol (rms, relative to its drop), the decay is not yet
+    single-mode: raises with advice to extend t_grid.
     """
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size < 3:
@@ -681,6 +688,9 @@ def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
     horizon = float(t_grid[-1])
     n_steps, dt = cfg.resolve_steps(kern.h, horizon=horizon)
     steps = sorted({max(1, int(round(tt / dt))) for tt in t_grid})
+    if len(steps) < 3:  # two points fit a line exactly: fit_tol never fires
+        raise BrownianError(f"t_grid gives {len(steps)} distinct steps at "
+                            f"dt={dt:.6g}; the fit needs at least 3")
     times = np.array([s * dt for s in steps])
 
     iy, ix = np.nonzero(dom.mask)

@@ -5,10 +5,10 @@ at physical point (x0 + ix*h, y0 + iy*h).  The physical boundary is the
 cell-edge polygon around the union of h-by-h cells centered on active nodes;
 its unit walls lie between an active node and an inactive (or out-of-grid)
 4-neighbor, and each is Dirichlet or Neumann.  The domain's wall code
-(``wall_code``) is the one record of which walls exist and which of them
-kill; ``GridDomain.code`` gives it under a forced condition.  Everything
-downstream (Laplacian assembly, Brownian collision tests, distances)
-measures against this one polygon.
+(``wall_code``) is the one record of which walls exist and which kill;
+``GridDomain.code`` gives it under a forced condition, ``realized_bc``
+the condition it realizes.  Everything downstream (Laplacian assembly,
+Brownian collision tests, distances) measures against this one polygon.
 
 Active-node rule (``_raster``, for every family drawn from a closed shape):
 a node is probed at itself and at 8 points 1e-9*h away along the axes and
@@ -78,9 +78,6 @@ NEUMANN = 1
 
 _BC_NAMES = {"dirichlet": DIRICHLET, "neumann": NEUMANN}
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
-# wall directions: index into offsets, (diy, dix)
-_DIRS = ((0, 1), (0, -1), (1, 0), (-1, 0))  # +x, -x, +y, -y
 
 
 class DomainError(ValueError):
@@ -240,8 +237,7 @@ class GridDomain:
         """n_active * h^2 when every wall is Dirichlet, else masses.sum(),
         the finite-volume area; on an all-Dirichlet domain that sum is smaller
         by the quarter cells cut at re-entrant corners."""
-        code = self.wall_code[self.mask]
-        if (((code | code >> 4) & 0x0F) == 0x0F).all():  # none reflects
+        if realized_bc(self.mask, self.wall_code) == "dirichlet":
             return self.n_active * self.h * self.h
         return float(self.masses.sum())
 
@@ -250,17 +246,13 @@ class GridDomain:
         x0, y0 = self.origin
         return x0 + np.asarray(ix) * self.h, y0 + np.asarray(iy) * self.h
 
-    def _cell(self, x, y):
-        """Rounded lattice positions (iy, ix) of (x, y), as floats."""
-        x0, y0 = self.origin
-        return (np.rint((np.asarray(y, dtype=float) - y0) / self.h),
-                np.rint((np.asarray(x, dtype=float) - x0) / self.h))
-
     def nearest_node(self, x, y):
         """Lattice indices of the node whose cell contains (x, y); raises
         DomainError for a coordinate that is not finite or too large to
         index."""
-        iy, ix = self._cell(x, y)
+        x0, y0 = self.origin
+        iy = np.rint((np.asarray(y, dtype=float) - y0) / self.h)
+        ix = np.rint((np.asarray(x, dtype=float) - x0) / self.h)
         big = 2.0 ** 62  # no int64 index beyond it (nor at inf or nan)
         if not ((np.abs(iy) < big).all() and (np.abs(ix) < big).all()):
             raise DomainError(f"cannot index the lattice at ({x}, {y})")
@@ -311,7 +303,7 @@ def wall_code(mask: np.ndarray, labels) -> np.ndarray:
     """Per-node wall code, (ny, nx) uint8: the one statement of which
     neighbor of a node is open and which wall kills.
 
-    On an active node bit d (d indexing _DIRS: +x, -x, +y, -y) is set when
+    On an active node bit d (d = 0, 1, 2, 3 for +x, -x, +y, -y) is set when
     neighbor d is active, and bit 4+d when direction d is a Dirichlet wall;
     a direction with both bits clear is a Neumann wall.  Inactive nodes
     read 0.  ``labels`` is a label array broadcast to (4, ny, nx), or one
@@ -331,6 +323,15 @@ def wall_code(mask: np.ndarray, labels) -> np.ndarray:
     return code
 
 
+def realized_bc(mask: np.ndarray, code: np.ndarray) -> str:
+    """The condition code realizes on mask's active nodes: 'dirichlet'
+    when no wall reflects, 'neumann' when none kills, else 'mixed'."""
+    code = code[mask]
+    if (((code | code >> 4) & 0x0F) == 0x0F).all():
+        return "dirichlet"
+    return "mixed" if (code >> 4).any() else "neumann"
+
+
 def _quarter_presence(mask: np.ndarray, code: np.ndarray) -> dict:
     """Per-node quarter-cell presence, keyed by quadrant sign pair (sx, sy).
 
@@ -342,10 +343,8 @@ def _quarter_presence(mask: np.ndarray, code: np.ndarray) -> dict:
     axis neighbors (re-entrant corner).  ``code`` is the wall code."""
     ny, nx = mask.shape
     out = {}
-    for sx in (1, -1):
-        for sy in (1, -1):
-            dx = _DIRS.index((0, sx))
-            dy = _DIRS.index((sy, 0))
+    for sx, dx in ((1, 0), (-1, 1)):  # dx, dy: wall code bits
+        for sy, dy in ((1, 2), (-1, 3)):
             diag = np.zeros(mask.shape, dtype=bool)
             src_y = slice(1, ny) if sy > 0 else slice(0, ny - 1)
             dst_y = slice(0, ny - 1) if sy > 0 else slice(1, ny)

@@ -19,7 +19,6 @@ heat flow damps mode j by exp(-lam_j * t).
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
-from .geometry import GridDomain, _masses, _quarter_presence
+from .geometry import GridDomain, _masses, _quarter_presence, realized_bc
 
 __all__ = [
     "SpectralError",
@@ -42,7 +41,6 @@ __all__ = [
     "heat_semigroup",
     "survival_profile",
     "zeta_bound",
-    "grid_hash",
 ]
 
 _log = logging.getLogger("eigenwalk")
@@ -60,6 +58,7 @@ class LaplaceOperator:
     ``matrix`` acts on mass-weighted coordinates u = M^{1/2} v where v is
     the physical node field; ``sqrt_mass`` converts back.  ``iy``/``ix``
     give the lattice position of each matrix row (row-major active order).
+    ``bc_mode`` is the condition its walls realize, not the label passed.
     """
 
     matrix: sparse.csr_matrix
@@ -97,7 +96,7 @@ class SpectralResult:
     h^2 * sum(f^2) = 1, with deterministic sign conventions (ground field
     max positive; second Neumann field negative at the leftmost active
     node).  ``residuals[j]`` is ||B u - lam u||_2 / ||u||_2 in standardized
-    coordinates.
+    coordinates.  ``bc_mode`` is the condition the walls realize.
     """
 
     eigenvalues: np.ndarray
@@ -140,8 +139,10 @@ def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperat
 
     ``bc_mode='dirichlet'`` or ``'neumann'`` force that condition on every
     wall; ``'mixed'`` (default) uses the per-wall labels the domain was
-    built with.  The matrix is exactly symmetric and positive semidefinite;
-    pure-Neumann operators annihilate the constant weighted by sqrt-mass.
+    built with.  The operator's ``bc_mode`` is the condition those walls
+    realize (geometry.realized_bc), whichever label was passed.  The
+    matrix is exactly symmetric and positive semidefinite; pure-Neumann
+    operators annihilate the constant weighted by sqrt-mass.
 
     Entries: a lattice edge between active nodes contributes conductance
     w in {1/2, 1} (one half per backing quarter cell), a Dirichlet wall
@@ -224,8 +225,8 @@ def assemble_laplacian(dom: GridDomain, bc_mode: str = "mixed") -> LaplaceOperat
     keep = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
     B = sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
-    return LaplaceOperator(matrix=B, sqrt_mass=np.sqrt(m), masses=m,
-                           iy=iy, ix=ix, dom=dom, bc_mode=bc_mode)
+    return LaplaceOperator(matrix=B, sqrt_mass=np.sqrt(m), masses=m, iy=iy,
+                           ix=ix, dom=dom, bc_mode=realized_bc(mask, code))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +478,8 @@ def heat_semigroup(result: SpectralResult, f0, t: float) -> HeatState:
 def survival_profile(result: SpectralResult, t: float) -> HeatState:
     """Probability that heat started uniformly has not yet left: the heat
     evolution of the constant 1 under absorbing walls.  Requires a
-    Dirichlet solve; values live in [0, 1] up to truncation error."""
+    spectrum whose every wall kills (bc_mode 'dirichlet'), however it was
+    assembled; values live in [0, 1] up to truncation error."""
     if result.bc_mode != "dirichlet":
         raise ValueError("survival profile needs a Dirichlet spectrum, "
                          f"got bc_mode={result.bc_mode!r}")
@@ -506,15 +508,3 @@ def zeta_bound(n: int, eps: float) -> float:
     lg = math.lgamma(n) - math.lgamma(n / 2.0)
     return (math.exp(n / 4.0) * math.sqrt(2.0) / (8.0 * n) ** (n / 4.0)
             * math.exp(0.5 * lg) * (1.0 + 1.0 / math.sqrt(eps)) ** (n / 2.0))
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def grid_hash(dom: GridDomain) -> str:
-    """Stable fingerprint of the lattice a result lives on."""
-    hsh = hashlib.sha256()
-    hsh.update(f"{dom.h!r};{dom.origin!r};{dom.mask.shape!r};".encode())
-    hsh.update(np.packbits(dom.mask).tobytes())
-    return hsh.hexdigest()[:16]

@@ -374,7 +374,7 @@ def mc_exit_probability(n: int, c: float, n_paths: int, seed: int = 0,
     return McExit(p=1.0 - mean_w, stderr=stderr, n_paths=n_paths)
 
 
-def interval_survival_images(c: float, tol: float = 1e-14) -> float:
+def interval_survival_images(c: float) -> float:
     """Survival probability in (-1, 1) from 0 at c = r^2/t by the classical
     reflection (method-of-images) series over the Gaussian CDF.
 
@@ -388,7 +388,7 @@ def interval_survival_images(c: float, tol: float = 1e-14) -> float:
         inc = sgn * (normal_cdf((2 * k + 1) * a) - normal_cdf((2 * k - 1) * a)
                      + normal_cdf((-2 * k + 1) * a) - normal_cdf((-2 * k - 1) * a))
         total += inc
-        if abs(inc) < tol:
+        if abs(inc) < 1e-14:
             break
     return total
 

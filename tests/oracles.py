@@ -62,17 +62,6 @@ def polyline_set_distance(polys_a, polys_b) -> float:
     return best
 
 
-def rectangle_dirichlet_eigenvalue(width: float, height: float,
-                                   kx: int = 1, ky: int = 1) -> float:
-    """Continuum Dirichlet eigenvalue (kx, ky) of a rectangle."""
-    return (kx * math.pi / width) ** 2 + (ky * math.pi / height) ** 2
-
-
-def rectangle_neumann_eigenvalue(width: float, height: float,
-                                 kx: int, ky: int) -> float:
-    return (kx * math.pi / width) ** 2 + (ky * math.pi / height) ** 2
-
-
 def discrete_rectangle_dirichlet_eigenvalue(h: float, n_interior: int,
                                             k: int) -> float:
     """Exact 1d eigenvalue of the 5-point Laplacian with Dirichlet ends.

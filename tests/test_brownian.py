@@ -21,7 +21,8 @@ import pytest
 from scipy import ndimage
 
 from eigenwalk import brownian as B
-from eigenwalk.geometry import DomainSpec, build_domain
+from eigenwalk.geometry import (DIRICHLET, NEUMANN, DomainSpec, GridDomain,
+                                build_domain)
 from eigenwalk.spectral import assemble_laplacian, solve_eigs, survival_profile
 import oracles
 
@@ -637,6 +638,17 @@ def test_decay_lambda_matches_closed_form(doms):
     assert 0.03 < rep.stderr < 0.1
 
 
+@pytest.mark.parametrize("t_grid", [(0.6, 0.6, 1.2), (0.6, 0.601, 1.2)])
+def test_decay_needs_three_distinct_steps(doms, t_grid):
+    """Times are rounded to whole steps before the fit, so a grid of three
+    times can give two checkpoints; a line through two points fits
+    exactly and fit_tol could never fire (on this rectangle it returned
+    lambda_hat 2.07 against lambda_1 ~ 2.46, fit_residual 2.8e-16)."""
+    cfg = B.PathConfig(t_max=1.2, n_paths=100, dt=0.03)
+    with pytest.raises(B.BrownianError, match="2 distinct steps at dt=0.03"):
+        B.mixed_eigenvalue_via_decay(doms["mixed"], cfg, t_grid)
+
+
 @pytest.mark.parametrize("max_starts", [0, -1])
 def test_decay_without_starts_rejected(doms, max_starts):
     """Fewer than one start is a BrownianError: on the square it used to
@@ -716,3 +728,49 @@ def test_feynman_kac_note_gives_readout_bias(doms):
                                   rel=1e-3)
     assert -0.0028 < value < -0.0026
     assert rep.bias_note.startswith("Euler absorption bias")
+
+
+def walled_box(labels):
+    """A full 30 x 40 mask with one wall label per direction (+x, -x,
+    +y, -y)."""
+    return GridDomain("walls", 1 / 40, (0.0, 0.0),
+                      np.ones((30, 40), dtype=bool),
+                      np.array(labels).reshape(4, 1, 1))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.01])
+def test_feynman_kac_refuses_other_walls(doms, t):
+    """The walker reads dom's walls under the spectrum's condition, so dom
+    must carry the lattice and the walls the spectrum was solved on: a
+    result from another mask is refused, and so is one from a mixed
+    domain with other walls on the same mask, at t = 0 too.  A domain
+    rebuilt from the same spec is taken."""
+    N, D = NEUMANN, DIRICHLET
+    cfg = B.PathConfig(t_max=0.01, n_paths=100, dt=0.001)
+    mixed = solve_eigs(assemble_laplacian(walled_box([N, D, N, D])), 2, 0)
+    assert mixed.bc_mode == "mixed"
+    square = solve_eigs(assemble_laplacian(doms["square"]), 1, 0)
+    for dom, res in ((walled_box([D, N, N, D]), mixed),
+                     (rect(1.0, 1.0, 17, "dirichlet"), square)):
+        with pytest.raises(B.BrownianError, match="walls the spectrum"):
+            B.feynman_kac(dom, res, (0.5, 0.5), t, cfg)
+    B.feynman_kac(rect(1.0, 1.0, 16, "dirichlet"), square, (0.5, 0.5), t,
+                  cfg)
+
+
+def test_feynman_kac_walks_the_spectrum_condition():
+    """A spectrum whose walls all reflect is walked reflected on a domain
+    with the same mask whatever its labels: a Neumann-labeled mask
+    assembled as 'mixed' is a Neumann spectrum, and the Dirichlet-labeled
+    copy of the mask gives the same report bit for bit (killing paths
+    against it read z = -2.87 at 4000 paths)."""
+    rows = ["1" * 24] * 24
+    dom_n, dom_d = (build_domain(DomainSpec("custom_mask", {"rows": rows},
+                                            16, bc)) for bc in ("neumann",
+                                                                "dirichlet"))
+    res = solve_eigs(assemble_laplacian(dom_n), 2, 0)
+    assert res.bc_mode == "neumann"
+    cfg = B.PathConfig(t_max=0.02, n_paths=400, dt=0.001, seed=1)
+    reps = [B.feynman_kac(dom, res, (0.2, 0.2), 0.02, cfg, mode_index=1)
+            for dom in (dom_n, dom_d)]
+    assert reps[0] == reps[1]

@@ -1,8 +1,11 @@
-"""Packaging metadata points only at code that exists."""
+"""Packaging metadata points only at code that exists, and no code is
+defined that nothing names."""
 
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +54,30 @@ def test_import_leaves_scipy_spatial_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False False"
+
+
+def test_no_dead_definitions():
+    """Every module-level function and class, and every method that is not
+    a dunder, of the package and of tests/oracles.py is named somewhere
+    else under src/, tests/ or bench/: a definition nothing calls fails
+    here instead of waiting for a survey."""
+    root = PYPROJECT.parent
+    files = [*sorted((root / "src" / "eigenwalk").glob("*.py")),
+             root / "tests" / "oracles.py"]
+    text = "\n".join(p.read_text() for d in ("src", "tests", "bench")
+                     for p in sorted((root / d).rglob("*.py")))
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    names = []
+    for path in files:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, defs):
+                names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [sub.name for sub in node.body
+                          if isinstance(sub, defs)
+                          and not (sub.name.startswith("__")
+                                   and sub.name.endswith("__"))]
+    dead = sorted(name for name in set(names)
+                  if len(re.findall(rf"\b{re.escape(name)}\b", text))
+                  <= names.count(name))
+    assert not dead, f"defined but named nowhere else: {dead}"

@@ -23,7 +23,6 @@ from eigenwalk.geometry import (DIRICHLET, NEUMANN, DomainError,
 from eigenwalk.spectral import (
     SpectralError,
     assemble_laplacian,
-    grid_hash,
     heat_semigroup,
     solve_eigs,
     survival_profile,
@@ -180,6 +179,27 @@ class TestAssembly:
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(op.masses, m)
         assert np.array_equal(op.sqrt_mass, np.sqrt(m))
+
+    @pytest.mark.parametrize("key", sorted(ASSEMBLY_SPECS))
+    def test_label_is_the_realized_condition(self, key):
+        """bc_mode names the condition the assembled walls realize, not
+        the label passed: a uniformly labeled domain assembled as 'mixed'
+        gives its uniform assembly's arrays and label bit for bit, and
+        only the rectangle with both kinds of side reads 'mixed'."""
+        spec = ASSEMBLY_SPECS[key]
+        dom = build_domain(spec)
+        for mode in ("dirichlet", "neumann"):
+            assert assemble_laplacian(dom, mode).bc_mode == mode
+        mixed = assemble_laplacian(dom)
+        if spec.bc_overrides:
+            assert mixed.bc_mode == "mixed"
+            return
+        uniform = assemble_laplacian(dom, spec.bc_default)
+        assert mixed.bc_mode == uniform.bc_mode == spec.bc_default
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(mixed.matrix, part),
+                                  getattr(uniform.matrix, part))
+        assert np.array_equal(mixed.masses, uniform.masses)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +385,26 @@ class TestEigsContract:
             oracles.fix_signs(op.iy, op.ix, op.bc_mode, want)
             spectral._fix_signs(op, fields)
             assert all(np.array_equal(a, b) for a, b in zip(fields, want))
+
+    @pytest.mark.parametrize("spec", [
+        DomainSpec("dumbbell", {"neck_width": 0.25, "neck_length": 0.5}, 56,
+                   "neumann"),
+        DomainSpec("rectangle", {"width": 2.0}, 40)], ids=["dumbbell-N",
+                                                          "rectangle-D"])
+    def test_mixed_assembly_solves_as_uniform(self, spec):
+        """Assembled as 'mixed' or under its uniform label, the same
+        operator gives the same eigenvalues, fields, residuals and bc_mode
+        bit for bit.  The sign rule reads the realized condition: keyed on
+        the label passed, it once returned field 1 of the Neumann dumbbell
+        negated from the 'mixed' assembly."""
+        dom = build_domain(spec)
+        a, b = (solve_eigs(assemble_laplacian(dom, mode), k=4, seed=0)
+                for mode in ("mixed", spec.bc_default))
+        assert a.bc_mode == b.bc_mode == spec.bc_default
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.residuals, b.residuals)
+        assert all(np.array_equal(f, g)
+                   for f, g in zip(a.eigenfields, b.eigenfields))
 
     def test_bad_k(self):
         op = assemble_laplacian(rect(resolution=16), "dirichlet")
@@ -675,6 +715,23 @@ class TestHeat:
         with pytest.raises(ValueError, match="[Dd]irichlet"):
             survival_profile(dumbbell_n, 0.1)
 
+    def test_survival_reads_the_walls(self):
+        """A Dirichlet dumbbell assembled with the default label is a
+        Dirichlet spectrum: survival_profile takes it and gives the field
+        of its 'dirichlet' assembly bit for bit.  A spectrum whose walls
+        both kill and reflect is still refused."""
+        dom = build_domain(DomainSpec("dumbbell", {"neck_width": 0.25}, 56))
+        got, want = (survival_profile(solve_eigs(
+            assemble_laplacian(dom, *mode), k=4, seed=0), 0.1)
+            for mode in ((), ("dirichlet",)))
+        assert got.bc_mode == "dirichlet"
+        assert np.array_equal(got.field, want.field)
+        mixed = solve_eigs(assemble_laplacian(rect(
+            2.0, 1.0, 24, "neumann", bc_overrides={"left": "dirichlet"})),
+            k=2, seed=0)
+        with pytest.raises(ValueError, match="bc_mode='mixed'"):
+            survival_profile(mixed, 0.1)
+
     def test_negative_time_rejected(self, sq128d):
         with pytest.raises(ValueError):
             heat_semigroup(sq128d, np.ones(sq128d.dom.mask.shape), -0.1)
@@ -764,18 +821,6 @@ class TestClosedForms:
     @settings(max_examples=50, deadline=None)
     def test_zeta_decreasing_in_eps(self, eps, factor):
         assert zeta_bound(2, eps * factor) < zeta_bound(2, eps)
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-class TestExports:
-    def test_grid_hash_sensitive_to_mask(self):
-        a = rect(resolution=24)
-        b = rect(resolution=25)
-        assert grid_hash(a) != grid_hash(b)
-        assert grid_hash(a) == grid_hash(rect(resolution=24))
 
 
 # ---------------------------------------------------------------------------
