@@ -5,6 +5,13 @@ eigensolves and heat semigroups on them (`spectral`), the ball first-exit
 function and its bounds (`theta`), and killed/reflected path simulation
 (`brownian`).  Each of these names is the submodule; the ball-exit
 function itself is `eigenwalk.theta.theta`.
+
+Refusals follow one rule.  An argument out of range (k, t, eta, a bc_mode
+name, an f0 or field array) raises ValueError.  A built object that does
+not fit the call raises its module's error, one of the package's three
+exception classes: DomainError for a spec that cannot be realized,
+SpectralError for a result under the wrong condition or a solve that
+fails its certificate, BrownianError for walls other than the result's.
 """
 
 from eigenwalk.geometry import (

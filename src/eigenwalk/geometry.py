@@ -56,10 +56,10 @@ positive, finite real (``tentacle_count`` an integer):
 Each family is a reader and a builder (``_FAMILIES``).  The reader makes
 every check that needs no lattice: unknown parameter keys and bc_overrides
 parts, the type and range of each value, and the inequalities above.
-``DomainSpec(...)`` runs it, so a spec that constructs is one these checks
-pass.  ``build_domain`` runs it again, then the builder, which makes the
-checks that need the spacing h: a dumbbell neck or octopus tentacle under
-4 nodes across, and a mask that is empty or not 4-connected.
+``DomainSpec(...)`` runs it once and keeps what it parses; ``build_domain``
+hands that to the builder, which makes the checks that need the spacing
+h: a dumbbell neck or octopus tentacle under 4 nodes across, and a mask
+that is empty or not 4-connected.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -84,14 +85,16 @@ class DomainError(ValueError):
     """Raised when a spec cannot be realized as a valid grid domain."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainSpec:
     """Recipe for a grid domain: family, numeric parameters, resolution
     (grid spacings across the longest bounding-box side), and boundary
     labels.  bc_overrides maps named parts (rectangle: left, right, bottom,
     top) to labels that replace bc_default there.  Construction runs the
-    family's reader, so every check that needs no lattice is made here
-    and raises DomainError."""
+    family's reader once, so every check that needs no lattice is made
+    here and raises DomainError.  A spec is a value: params and
+    bc_overrides are read-only copies, and specs compare and hash by
+    family, parsed values, resolution, bc_default and name."""
 
     family: str
     params: Mapping[str, object] = field(default_factory=dict)
@@ -104,17 +107,33 @@ class DomainSpec:
         if not _one_of(self.family, _FAMILIES):
             raise DomainError(f"unknown family {self.family!r}; "
                               f"have {sorted(_FAMILIES)}")
-        if _number("resolution", self.resolution, integer=True) < 16:
+        if (res := _number("resolution", self.resolution, integer=True)) < 16:
             raise DomainError("resolution must be >= 16")
         if not _one_of(self.bc_default, _BC_NAMES):
             raise DomainError(f"bc_default must be one of {sorted(_BC_NAMES)}")
         for key in ("params", "bc_overrides"):
-            if not isinstance(getattr(self, key), Mapping):
+            given = getattr(self, key)
+            if not isinstance(given, Mapping):
                 raise DomainError(f"{key} must be a mapping, got "
-                                  f"{type(getattr(self, key)).__name__}")
+                                  f"{type(given).__name__}")
+            object.__setattr__(self, key, MappingProxyType({
+                k: tuple(v) if k == "rows" and isinstance(v, list) else v
+                for k, v in given.items()}))
         if not isinstance(self.name, str):
             raise DomainError(f"name must be a string, got {self.name!r}")
-        _FAMILIES[self.family][0](self)
+        object.__setattr__(self, "_key", (self.family, tuple(
+            _FAMILIES[self.family][0](self)), res, self.bc_default, self.name))
+
+    def __eq__(self, other):
+        return isinstance(other, DomainSpec) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __reduce__(self):  # the read-only copies do not pickle
+        return DomainSpec, (self.family, dict(self.params), self.resolution,
+                            self.bc_default, dict(self.bc_overrides),
+                            self.name)
 
     @staticmethod
     def from_json(text: str) -> "DomainSpec":
@@ -210,12 +229,11 @@ class GridDomain:
     def code(self, bc_mode: str) -> np.ndarray:
         """The wall code under bc_mode: the domain's own for 'mixed', or
         with every wall 'dirichlet' or every wall 'neumann'."""
-        if bc_mode == "mixed":
-            return self.wall_code
-        if bc_mode not in _BC_NAMES:
+        if not _one_of(bc_mode, (*_BC_NAMES, "mixed")):
             raise ValueError(f"bc_mode must be 'dirichlet', 'neumann' or "
                              f"'mixed', got {bc_mode!r}")
-        return wall_code(self.mask, _BC_NAMES[bc_mode])
+        return (self.wall_code if bc_mode == "mixed"
+                else wall_code(self.mask, _BC_NAMES[bc_mode]))
 
     # -- basic measurements ------------------------------------------------
 
@@ -466,10 +484,10 @@ _SIDES = ("left", "right", "bottom", "top")
 
 
 def _read_rectangle(spec: DomainSpec):
-    """(width, height, label per side)."""
+    """(width, height, labels of the sides in _SIDES order)."""
     w, ht = _params(spec, {"width": 1.0, "height": 1.0}, parts=_SIDES)
-    sides = {s: _BC_NAMES[spec.bc_overrides.get(s, spec.bc_default)]
-             for s in _SIDES}
+    sides = tuple(_BC_NAMES[spec.bc_overrides.get(s, spec.bc_default)]
+                  for s in _SIDES)
     return w, ht, sides
 
 
@@ -478,15 +496,13 @@ def _build_rectangle(spec: DomainSpec, w, ht, sides):
     on_l, on_r = np.isclose(X, 0.0), np.isclose(X, w)
     on_b, on_t = np.isclose(Y, 0.0), np.isclose(Y, ht)
     mask = np.ones(X.shape, dtype=bool)
-    for on, side in ((on_l, "left"), (on_r, "right"),
-                     (on_b, "bottom"), (on_t, "top")):
-        if sides[side] == DIRICHLET:
+    for on, label in zip((on_l, on_r, on_b, on_t), sides):
+        if label == DIRICHLET:
             mask &= ~on
     # a boundary wall in the +x/-x direction always realizes the right/left
     # ideal side (a missing x-neighbor is missing because of that side),
-    # and likewise for y, so each direction carries one label
-    labels = np.array([sides[s] for s in ("right", "left", "top", "bottom")],
-                      dtype=np.int8).reshape(4, 1, 1)
+    # and likewise for y, so each direction (+x, -x, +y, -y) has one label
+    labels = np.array(sides, dtype=np.int8)[[1, 0, 3, 2]].reshape(4, 1, 1)
     return h, (0.0, 0.0), mask, labels, {}
 
 
@@ -627,7 +643,7 @@ def _read_custom(spec: DomainSpec):
     """(rows, cell_size)."""
     cell, = _params(spec, {"cell_size": 1.0 / 64}, own=("rows",))
     rows = spec.params.get("rows")
-    if not (isinstance(rows, (list, tuple)) and rows
+    if not (isinstance(rows, tuple) and rows
             and all(isinstance(r, str) and r and len(r) == len(rows[0])
                     for r in rows)):
         raise DomainError("custom_mask rows must be a nonempty list of "
@@ -642,9 +658,7 @@ def _build_custom(spec: DomainSpec, rows, cell):
     return cell, (0.0, 0.0), mask, bc, {}
 
 
-# family name -> (reader, builder): reader(spec) makes every check that
-# needs no lattice and returns the parsed values; builder(spec, *values)
-# rasterizes, making the checks that need h
+# family name -> (reader, builder), as the module docstring describes
 _FAMILIES = {
     "rectangle": (_read_rectangle, _build_rectangle),
     "disk": (_read_disk, _build_disk),
@@ -657,16 +671,12 @@ _FAMILIES = {
 
 
 def build_domain(spec: DomainSpec) -> GridDomain:
-    """Rasterize a DomainSpec; deterministic (identical spec, identical bits).
-
-    Runs the family's reader again, so params mutated after construction
-    are checked too, then its builder.  Raises DomainError for disconnected
-    masks or under-resolved features.
-    """
-    read, build = _FAMILIES[spec.family]
-    h, origin, mask, labels, regions = build(spec, *read(spec))
-    name = spec.name or spec.family
-    return GridDomain(name, h, origin, mask, labels, regions)
+    """Rasterize a DomainSpec; deterministic (equal specs, identical bits).
+    Runs no reader: the builder gets the values parsed when the spec was
+    made.  Raises DomainError for disconnected masks or under-resolved
+    features."""
+    build = _FAMILIES[spec.family][1]  # -> h, origin, mask, labels, regions
+    return GridDomain(spec.name or spec.family, *build(spec, *spec._key[1]))
 
 
 # ---------------------------------------------------------------------------

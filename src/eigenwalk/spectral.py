@@ -47,8 +47,8 @@ _log = logging.getLogger("eigenwalk")
 
 
 class SpectralError(RuntimeError):
-    """Eigensolve failed to reach the requested residual, or an operator
-    could not be assembled from the given domain."""
+    """Eigensolve missed its residual, an operator could not be assembled
+    from the domain, or a result's condition does not fit the call."""
 
 
 @dataclass(frozen=True)
@@ -331,10 +331,10 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
     Lanczos run does not converge raises SpectralError naming the block
     and the pairs it was asked for.  Residuals are measured on the full
     B either way; if any misses residual_tol * (1 + lam), or is NaN,
-    raises SpectralError quoting it.
+    raises SpectralError quoting it.  k must be a positive integer.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError("k must be a positive integer")
     B = op.matrix
     n = op.n
     if k > n:
@@ -452,8 +452,8 @@ def _first_significant(w, rel: float) -> float:
 def heat_semigroup(result: SpectralResult, f0, t: float) -> HeatState:
     """Evolve f0 by the heat semigroup using the computed eigenbasis.
 
-    f0 is a (ny, nx) array (values off-domain are ignored) and t a finite
-    time >= 0; NaN and infinity raise ValueError.  f0 is projected onto
+    f0 is a (ny, nx) array, ignored off the domain, and t a time >= 0;
+    NaN and infinity in either raise ValueError.  f0 is projected onto
     the fields with the mass-weighted inner product.  The dropped
     component is bounded by exp(-lam_k * t) * ||f0 - proj f0||, its mass
     norm, reported as HeatState.truncation_bound.
@@ -462,6 +462,8 @@ def heat_semigroup(result: SpectralResult, f0, t: float) -> HeatState:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     op = result.operator
     f0_vec = op.field_to_vector(f0)
+    if not np.isfinite(f0_vec).all():
+        raise ValueError("f0 has non-finite values on the domain")
     fields = np.stack([g[op.iy, op.ix] for g in result.eigenfields])
     weighted = op.masses * fields
     coeffs = (weighted @ f0_vec) / np.vecdot(weighted, fields)
@@ -479,10 +481,10 @@ def survival_profile(result: SpectralResult, t: float) -> HeatState:
     """Probability that heat started uniformly has not yet left: the heat
     evolution of the constant 1 under absorbing walls.  Requires a
     spectrum whose every wall kills (bc_mode 'dirichlet'), however it was
-    assembled; values live in [0, 1] up to truncation error."""
+    assembled, else SpectralError; values lie in [0, 1] up to truncation."""
     if result.bc_mode != "dirichlet":
-        raise ValueError("survival profile needs a Dirichlet spectrum, "
-                         f"got bc_mode={result.bc_mode!r}")
+        raise SpectralError("survival profile needs a Dirichlet spectrum, "
+                            f"got bc_mode={result.bc_mode!r}")
     ones = np.ones(result.dom.mask.shape)
     return heat_semigroup(result, ones, t)
 

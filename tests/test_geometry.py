@@ -1,8 +1,11 @@
 """Tests for lattice domain construction, level sets, and distances."""
 
+import copy
+import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -323,12 +326,32 @@ def test_numpy_scalars_are_checked_as_numbers(value):
         DomainSpec("disk", {"radius": value}, 64)
 
 
-def test_build_checks_params_changed_after_construction():
-    params = {"radius": 1.0}
-    spec = DomainSpec("disk", params, 32)
-    params["radius"] = "x"
-    with pytest.raises(DomainError, match="radius must be a real number"):
-        build_domain(spec)
+def test_changes_after_construction_do_not_reach_the_build():
+    """The spec keeps read-only copies of params, bc_overrides and
+    custom_mask's rows: changing the caller's dict or list afterwards
+    changes neither the spec, nor its hash, nor what it builds, and the
+    spec's own mappings refuse assignment."""
+    params, rows = {"radius": 1.0}, list(L_ROWS)
+    disk = DomainSpec("disk", params, 32)
+    custom = DomainSpec("custom_mask", {"rows": rows}, 16)
+    want = [DomainSpec("disk", {"radius": 1.0}, 32),
+            DomainSpec("custom_mask", {"rows": L_ROWS}, 16)]
+    hashes = [hash(disk), hash(custom)]
+    params["radius"] = 2.0
+    rows[0] = "0000"
+    assert [disk, custom] == want
+    assert [hash(disk), hash(custom)] == hashes
+    assert disk.params == {"radius": 1.0}
+    assert custom.params["rows"] == tuple(L_ROWS)
+    assert build_domain(disk).bbox == (-1.0, -1.0, 1.0, 1.0)
+    for got, spec in zip((disk, custom), want):
+        assert build_digest(build_domain(got)) == build_digest(
+            build_domain(spec))
+    with pytest.raises(TypeError):
+        disk.params["radius"] = 2.0
+    rect = DomainSpec("rectangle", {}, 32, bc_overrides={"left": "neumann"})
+    with pytest.raises(TypeError):
+        rect.bc_overrides["left"] = "dirichlet"
 
 
 @pytest.mark.parametrize("family, overrides", [
@@ -488,6 +511,131 @@ def test_band_raster_matches_whole_lattice_probes(family, bc, res,
     band = [build_digest(build_domain(spec)) for spec in specs]
     monkeypatch.setattr(geo, "_raster", oracles.raster)
     assert band == [build_digest(build_domain(spec)) for spec in specs]
+
+
+# specs equal as values: the parsed parameters, resolution, bc_default and
+# name agree, however they were written
+EQUAL_SPECS = {
+    "defaults": (DomainSpec("disk", {}, 32),
+                 DomainSpec("disk", {"radius": 1.0}, 32)),
+    "l_shape_notch": (DomainSpec("l_shape", {"width": 2.0}, 32),
+                      DomainSpec("l_shape", {
+                          "width": 2.0, "height": 1.0, "notch_width": 1.0,
+                          "notch_height": 0.5}, 32)),
+    "numpy_scalars": (DomainSpec("octopus", {"body_radius": 0.75,
+                                             "tentacle_width": 0.5,
+                                             "tentacle_count": 3}, 48),
+                      DomainSpec("octopus", {"body_radius": np.float32(0.75),
+                                             "tentacle_width": np.float64(0.5),
+                                             "tentacle_count": np.int64(3)},
+                                 np.int32(48))),
+    "override_is_default": (DomainSpec("rectangle", {}, 32, "neumann"),
+                            DomainSpec("rectangle", {}, 32, "neumann",
+                                       bc_overrides={"top": "neumann"})),
+    "rows_tuple": (DomainSpec("custom_mask", {"rows": L_ROWS}, 16),
+                   DomainSpec("custom_mask", {"rows": tuple(L_ROWS),
+                                              "cell_size": 1 / 64}, 16)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EQUAL_SPECS))
+def test_specs_that_build_the_same_domain_are_equal(key):
+    a, b = EQUAL_SPECS[key]
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert build_digest(build_domain(a)) == build_digest(build_domain(b))
+
+
+def test_specs_with_another_parsed_value_are_unequal():
+    disk = DomainSpec("disk", {}, 32)
+    for other in (DomainSpec("disk", {"radius": 1.0 + 2 ** -52}, 32),
+                  DomainSpec("disk", {}, 33),
+                  DomainSpec("disk", {}, 32, "neumann"),
+                  DomainSpec("disk", {}, 32, name="unit disk"),
+                  DomainSpec("annulus", {}, 32)):
+        assert disk != other
+    rect = DomainSpec("rectangle", {}, 32, "neumann")
+    assert rect != DomainSpec("rectangle", {}, 32, "neumann",
+                              bc_overrides={"top": "dirichlet"})
+    assert disk != "disk"
+
+
+# one spec per family whose half resolution builds too
+VALUE_SPECS = [
+    DomainSpec("rectangle", {"width": 2.0}, 64, "neumann",
+               bc_overrides={"left": "dirichlet"}),
+    DomainSpec("disk", {"radius": 0.5}, 64),
+    DomainSpec("annulus", {}, 64, "neumann"),
+    DomainSpec("dumbbell", {"neck_width": 0.4}, 64),
+    DomainSpec("octopus", {"tentacle_width": 0.9, "tentacle_count": 3}, 64,
+               "neumann"),
+    DomainSpec("l_shape", {"width": 1.5}, 64, "neumann"),
+    DomainSpec("custom_mask", {"rows": L_ROWS, "cell_size": 0.25}, 64,
+               name="L"),
+]
+
+
+@pytest.mark.parametrize("spec", VALUE_SPECS,
+                         ids=[s.family for s in VALUE_SPECS])
+def test_spec_round_trips_to_an_equal_spec(spec):
+    """pickle, deepcopy and JSON give a spec equal to the original, which
+    builds the same bits; dataclasses.replace gives the spec at another
+    resolution, hashable and equal to one made directly."""
+    digest = build_digest(build_domain(spec))
+    for how, back in (("pickle", pickle.loads(pickle.dumps(spec))),
+                      ("deepcopy", copy.deepcopy(spec)),
+                      ("json", DomainSpec.from_json(spec.to_json()))):
+        assert back == spec and hash(back) == hash(spec), how
+        assert build_digest(build_domain(back)) == digest, how
+    half = dataclasses.replace(spec, resolution=spec.resolution // 2)
+    direct = DomainSpec(spec.family, dict(spec.params), spec.resolution // 2,
+                        spec.bc_default, dict(spec.bc_overrides), spec.name)
+    assert half == direct and hash(half) == hash(direct)
+    assert build_digest(build_domain(half)) == build_digest(
+        build_domain(direct))
+
+
+def build_outcome(spec):
+    """build_digest of the domain, or the message of its DomainError."""
+    try:
+        return build_digest(build_domain(spec))
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(sorted(geo._FAMILIES)),
+       res=st.integers(16, 64), bc=st.sampled_from(["dirichlet", "neumann"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_equal_specs_build_identical_domains(family, res, bc, seed):
+    """A random spec and its twin, written with numpy scalars, a list of
+    rows and every rectangle side the spec leaves at bc_default named in
+    bc_overrides, are equal and hash equal, and build the same mask, wall
+    codes and masses (or fail with the same DomainError)."""
+    rng = np.random.default_rng(seed)
+    if family == "rectangle":
+        sides = ("left", "right", "bottom", "top")
+        spec = DomainSpec(family, {"width": rng.uniform(0.5, 2.0),
+                                   "height": rng.uniform(0.5, 2.0)}, res, bc,
+                          {s: str(rng.choice(["dirichlet", "neumann"]))
+                           for s in sides if rng.uniform() < 0.5})
+    elif family == "custom_mask":
+        shape = rng.integers(1, 8, size=2)
+        rows = ["".join(r) for r in rng.choice(list("1#xX0"), size=shape)]
+        spec = DomainSpec(family, {"rows": rows,
+                                   "cell_size": rng.uniform(0.01, 1.0)},
+                          res, bc)
+    else:
+        spec = random_shape(family, res, bc, rng)
+    params = {key: (np.int64(v) if isinstance(v, int) else list(v)
+                    if isinstance(v, tuple) else np.float64(v))
+              for key, v in spec.params.items()}
+    overrides = ({s: bc for s in ("left", "right", "bottom", "top")}
+                 if family == "rectangle" else {})
+    twin = DomainSpec(family, params, np.int64(res), bc,
+                      {**overrides, **spec.bc_overrides})
+    assert twin == spec and hash(twin) == hash(spec)
+    assert build_outcome(twin) == build_outcome(spec)
 
 
 def test_custom_mask_refuses_pgm_and_needs_rows():

@@ -81,3 +81,29 @@ def test_no_dead_definitions():
                   if len(re.findall(rf"\b{re.escape(name)}\b", text))
                   <= names.count(name))
     assert not dead, f"defined but named nowhere else: {dead}"
+
+
+def test_only_three_error_classes():
+    """The package defines no exception class but DomainError,
+    SpectralError and BrownianError, the errors a caller catches to turn
+    a refusal of a built object into a record (see the package
+    docstring).  A class counts as an exception when a base is a built-in
+    exception or another such class of the package."""
+    import builtins
+
+    bases = {}  # class name -> the last dotted part of each base
+    for path in sorted((PYPROJECT.parent / "src" / "eigenwalk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [ast.unparse(b).rsplit(".", 1)[-1]
+                                    for b in node.bases]
+
+    def is_error(name, seen=()):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return name not in seen and any(is_error(base, (*seen, name))
+                                        for base in bases.get(name, ()))
+
+    errors = {name for name in bases if is_error(name)}
+    assert errors == {"DomainError", "SpectralError", "BrownianError"}

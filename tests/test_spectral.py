@@ -122,8 +122,13 @@ class TestAssembly:
         assert (a != b).nnz == 0
 
     def test_unknown_bc_mode_rejected(self):
-        with pytest.raises(ValueError, match="bc_mode"):
-            assemble_laplacian(rect(resolution=16), "robin")
+        """A mode that is not one of the three names is an argument out of
+        range, a value of another type included: ValueError, not the
+        TypeError an unhashable list would raise in a lookup."""
+        dom = rect(resolution=16)
+        for mode in ("robin", ["mixed"], None, 3):
+            with pytest.raises(ValueError, match="bc_mode"):
+                assemble_laplacian(dom, mode)
 
     def test_unlabeled_wall_rejected(self):
         """A label other than DIRICHLET (0) or NEUMANN (1) fails when the
@@ -347,6 +352,19 @@ class TestEigsContract:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert all(np.array_equal(x, y)
                    for x, y in zip(a.eigenfields, b.eigenfields))
+
+    @pytest.mark.parametrize("res", [16, 32], ids=["dense", "lanczos"])
+    def test_k_must_be_a_positive_integer(self, res):
+        """A float or bool k is refused before any work, on the dense
+        route (r = 16) and on Lanczos (r = 32); a numpy integer solves."""
+        op = assemble_laplacian(rect(resolution=res), "dirichlet")
+        for k in (2.0, 2.5, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                solve_eigs(op, k)
+        got = solve_eigs(op, np.int64(3), seed=0)
+        want = solve_eigs(op, 3, seed=0)
+        assert got.k == 3
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
 
     def test_ground_state_one_signed(self, sq128d):
         g = sq128d.eigenfields[0][sq128d.dom.mask]
@@ -712,7 +730,7 @@ class TestHeat:
         assert totals[-1] > 0
 
     def test_survival_requires_dirichlet(self, dumbbell_n):
-        with pytest.raises(ValueError, match="[Dd]irichlet"):
+        with pytest.raises(SpectralError, match="[Dd]irichlet"):
             survival_profile(dumbbell_n, 0.1)
 
     def test_survival_reads_the_walls(self):
@@ -729,8 +747,27 @@ class TestHeat:
         mixed = solve_eigs(assemble_laplacian(rect(
             2.0, 1.0, 24, "neumann", bc_overrides={"left": "dirichlet"})),
             k=2, seed=0)
-        with pytest.raises(ValueError, match="bc_mode='mixed'"):
+        with pytest.raises(SpectralError, match="bc_mode='mixed'"):
             survival_profile(mixed, 0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_f0_on_the_domain_rejected(self, sq128d, value):
+        """One bad node would turn every coefficient, and so the whole
+        field and its truncation bound, into NaN."""
+        f0 = np.ones(sq128d.dom.mask.shape)
+        iy, ix = np.argwhere(sq128d.dom.mask)[7]
+        f0[iy, ix] = value
+        with pytest.raises(ValueError, match="non-finite values on the "
+                                             "domain"):
+            heat_semigroup(sq128d, f0, 0.1)
+
+    def test_non_finite_f0_off_the_domain_ignored(self, sq128d):
+        f0 = np.ones(sq128d.dom.mask.shape)
+        want = heat_semigroup(sq128d, f0, 0.1)
+        f0[~sq128d.dom.mask] = math.nan
+        got = heat_semigroup(sq128d, f0, 0.1)
+        assert np.array_equal(got.field, want.field)
+        assert got.truncation_bound == want.truncation_bound
 
     def test_negative_time_rejected(self, sq128d):
         with pytest.raises(ValueError):
