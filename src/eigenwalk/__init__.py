@@ -6,12 +6,14 @@ function and its bounds (`theta`), and killed/reflected path simulation
 (`brownian`).  Each of these names is the submodule; the ball-exit
 function itself is `eigenwalk.theta.theta`.
 
-Refusals follow one rule.  An argument out of range (k, t, eta, a bc_mode
-name, an f0 or field array) raises ValueError.  A built object that does
-not fit the call raises its module's error, one of the package's three
-exception classes: DomainError for a spec that cannot be realized,
-SpectralError for a result under the wrong condition or a solve that
-fails its certificate, BrownianError for walls other than the result's.
+Refusals follow one rule, without exceptions.  An argument out of range
+(k, t, c, p, eta, a path count, time grid or start point, a bc_mode name,
+an f0 or field array) raises ValueError.  A built object that does not
+fit the call, or an estimate that fails its own check, raises its
+module's error, one of the package's three exception classes: DomainError
+(a ValueError) for a spec that cannot be realized, SpectralError for a
+result under the wrong condition or a solve that fails its certificate,
+BrownianError for walls other than the result's.
 """
 
 from eigenwalk.geometry import (

@@ -34,6 +34,8 @@ import traceback
 
 import numpy as np
 
+from eigenwalk.geometry import _number
+
 _MASK64 = (1 << 64) - 1
 _TILE = 16384  # raw words per fill_normals tile: 128 KB of bits
 _ULP = np.float32(2.0 ** -24)  # one unit of a 24-bit float32 draw
@@ -50,7 +52,7 @@ def batch_rng(seed: int, tag: int, batch_index: int) -> np.random.Generator:
 
 def map_batches(job, n_batches: int, threads: int) -> list:
     """[job(0), ..., job(n_batches - 1)], in batch order, computed by
-    min(threads, n_batches) worker processes.
+    min(threads, n_batches) worker processes, threads a positive integer.
 
     Worker w runs batches w, w + T, w + 2T, ... of T workers.  This process
     is worker 0; the others are forked children that send their results
@@ -67,7 +69,7 @@ def map_batches(job, n_batches: int, threads: int) -> list:
     with threads > 1 from more than one thread.  Without os.fork the
     batches run here one after another, which is logged once at INFO.
     """
-    workers = min(threads, n_batches)
+    workers = min(_number("threads", threads, integer=True), n_batches)
     if workers > 1 and not hasattr(os, "fork"):
         global _said_serial
         if not _said_serial:

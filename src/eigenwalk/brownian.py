@@ -95,7 +95,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import batch_rng, fill_normals, map_batches
-from .geometry import GridDomain, active_cell
+from .geometry import GridDomain, _number, active_cell
 from .spectral import SpectralResult
 
 __all__ = [
@@ -120,7 +120,9 @@ _log = logging.getLogger("eigenwalk")
 
 
 class BrownianError(RuntimeError):
-    """Bad path configuration, time, start point or mode."""
+    """A domain that does not fit the walk (other walls than the spectrum's,
+    or no killing wall for decay), or an estimate that fails its own check.
+    A bad argument, start point or t_grid raises ValueError instead."""
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,8 @@ class PathConfig:
     per domain to min(h^2/4, horizon/1000), keeping the spatial step below
     the lattice resolution.  The horizon is divided into an integer number
     of steps, at least 10, so the effective dt is the requested one rounded
-    to land exactly on the horizon.
+    to land exactly on the horizon.  Bad times, dt or n_paths (an integer
+    of at least 100) raise ValueError.
     """
 
     t_max: float
@@ -143,28 +146,19 @@ class PathConfig:
     bridge_correction: bool = True
 
     def __post_init__(self):
-        if not (0 < self.t_max < math.inf):
-            raise BrownianError("t_max must be finite and positive")
-        if not isinstance(self.n_paths, (int, np.integer)):
-            raise BrownianError(f"n_paths must be an integer, got "
-                                f"{self.n_paths!r}")
-        if self.n_paths < 100:
-            raise BrownianError("n_paths must be >= 100")
-        if self.dt is not None:
-            if not (0 < self.dt < math.inf):
-                raise BrownianError("dt must be finite and positive")
-            if self.dt > self.t_max / 10:
-                raise BrownianError("dt must be <= t_max/10")
+        t_max = _number("t_max", self.t_max)
+        if _number("n_paths", self.n_paths, integer=True) < 100:
+            raise ValueError("n_paths must be >= 100")
+        if self.dt is not None and _number("dt", self.dt) > t_max / 10:
+            raise ValueError("dt must be <= t_max/10")
 
     def resolve_steps(self, h: float, horizon: float):
         """(n_steps, dt) for a grid of spacing h; dt snaps to the horizon,
         which must be finite and positive and at least 10 configured dt."""
-        if not (0 < horizon < math.inf):
-            raise BrownianError(f"time {horizon!r} must be finite and "
-                                f"positive")
+        horizon = _number("time", horizon)
         if self.dt is not None and self.dt > horizon / 10:
-            raise BrownianError(f"dt={self.dt!r} exceeds a tenth of the "
-                                f"time {horizon!r}; pass a smaller dt")
+            raise ValueError(f"dt={self.dt!r} exceeds a tenth of the "
+                             f"time {horizon!r}; pass a smaller dt")
         want = self.dt if self.dt is not None else min(h * h / 4,
                                                       horizon / 1000)
         n_steps = max(10, int(round(horizon / want)))
@@ -251,15 +245,15 @@ class _Kernel:
 
     def start_table(self, points):
         """(fx, fy, cx, cy) arrays of shape (S,) for S start points; raises
-        BrownianError unless every point is inside the domain."""
+        ValueError unless every point is inside the domain."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         fx, fy = ((pts - self.origin) / self.h).T
         cx, cy, inside = active_cell(self.mask, self.origin, self.h,
                                      pts[:, 0], pts[:, 1])
         if not inside.all():
             x, y = pts[int(np.argmin(inside))]
-            raise BrownianError(f"start point ({x:g}, {y:g}) is outside "
-                                f"the domain")
+            raise ValueError(f"start point ({x:g}, {y:g}) is outside "
+                             f"the domain")
         return fx, fy, cx, cy
 
     def kill_distance(self, fx, fy, cell):
@@ -583,11 +577,11 @@ def _mean_stderr(total, total_sq, n):
 
 
 def _start_point(kern: _Kernel, x):
-    """The start table of x; raises BrownianError unless x is one point
+    """The start table of x; raises ValueError unless x is one point
     inside the domain."""
     pt = np.asarray(x, dtype=float)
     if pt.shape != (2,):
-        raise BrownianError("start must be a single (x, y) point")
+        raise ValueError("start must be a single (x, y) point")
     return kern.start_table(pt)
 
 
@@ -633,10 +627,11 @@ def feynman_kac(dom: GridDomain, result: SpectralResult, x, t: float,
                                and np.array_equal(dom.code(bc), src.code(bc))):
         raise BrownianError(f"{dom.name!r} is not the lattice and {bc} "
                             f"walls the spectrum was solved on")
-    if not (isinstance(mode_index, (int, np.integer))
+    if isinstance(mode_index, bool) or not (
+            isinstance(mode_index, (int, np.integer))
             and 0 <= mode_index < result.k):
-        raise BrownianError(f"mode_index {mode_index!r} is not one of the "
-                            f"{result.k} computed modes")
+        raise ValueError(f"mode_index {mode_index!r} is not one of the "
+                         f"{result.k} computed modes")
     kern = _Kernel(dom, bc)
     start = _start_point(kern, x)
     grid = result.eigenfields[mode_index]
@@ -673,14 +668,11 @@ def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
     than fit_tol (rms, relative to its drop), the decay is not yet
     single-mode: raises with advice to extend t_grid.
     """
-    t_grid = np.asarray(sorted(float(t) for t in t_grid))
+    t_grid = np.asarray(sorted(_number("t_grid time", t) for t in t_grid))
     if t_grid.size < 3:
-        raise BrownianError("t_grid needs at least 3 times")
-    if not ((t_grid > 0) & (t_grid < math.inf)).all():
-        raise BrownianError("t_grid times must be finite and positive")
-    if max_starts < 1:
-        raise BrownianError(f"max_starts must be at least 1, got "
-                            f"{max_starts!r}")
+        raise ValueError("t_grid needs at least 3 times")
+    max_starts = _number("max_starts", max_starts, integer=True)
+    fit_tol = _number("fit_tol", fit_tol)
     kern = _Kernel(dom, "mixed")
     if not kern.any_dirichlet:
         raise BrownianError("decay estimation needs at least one "
@@ -689,8 +681,8 @@ def mixed_eigenvalue_via_decay(dom: GridDomain, cfg: PathConfig, t_grid,
     n_steps, dt = cfg.resolve_steps(kern.h, horizon=horizon)
     steps = sorted({max(1, int(round(tt / dt))) for tt in t_grid})
     if len(steps) < 3:  # two points fit a line exactly: fit_tol never fires
-        raise BrownianError(f"t_grid gives {len(steps)} distinct steps at "
-                            f"dt={dt:.6g}; the fit needs at least 3")
+        raise ValueError(f"t_grid gives {len(steps)} distinct steps at "
+                         f"dt={dt:.6g}; the fit needs at least 3")
     times = np.array([s * dt for s in steps])
 
     iy, ix = np.nonzero(dom.mask)

@@ -107,7 +107,8 @@ class DomainSpec:
         if not _one_of(self.family, _FAMILIES):
             raise DomainError(f"unknown family {self.family!r}; "
                               f"have {sorted(_FAMILIES)}")
-        if (res := _number("resolution", self.resolution, integer=True)) < 16:
+        if (res := _number("resolution", self.resolution, integer=True,
+                           error=DomainError)) < 16:
             raise DomainError("resolution must be >= 16")
         if not _one_of(self.bc_default, _BC_NAMES):
             raise DomainError(f"bc_default must be one of {sorted(_BC_NAMES)}")
@@ -439,18 +440,24 @@ def _one_of(value, names) -> bool:
     return isinstance(value, str) and value in names
 
 
-def _number(name: str, value, integer: bool = False):
+def _number(name: str, value, integer: bool = False, error=ValueError):
     """value as a float, or as an int where ``integer``: a positive, finite
     real number, integral where ``integer``.  A bool, a string, a list and
-    a float where an integer is asked for are refused, not converted."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise DomainError(f"{name} must be "
-                          f"{'an integer' if integer else 'a real number'}, "
-                          f"got {value!r}")
+    a float where an integer is asked for are refused, not converted.  The
+    package's one check of a positive numeric argument; it raises ``error``,
+    ValueError unless a spec reader asks for DomainError."""
+    kind = type(value)  # exact types first: theta checks two per call
+    if (kind is int or kind is float and not integer) and 0 < value < math.inf:
+        return value if integer else float(value)
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real):
+        if integer:
+            raise error(f"{name} must be an integer, got {value!r}: it "
+                        "must be a positive integer")
+        raise error(f"{name} must be a real number, got {value!r}")
     value = int(value) if integer else float(value)
     if not 0 < value < math.inf:  # also refuses NaN
-        raise DomainError(f"{name} must be positive and finite, got {value}")
+        raise error(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -475,7 +482,7 @@ def _params(spec: DomainSpec, defaults: dict, own=(), parts=()) -> list:
         if not _one_of(bc, _BC_NAMES):
             raise DomainError(f"bc override {part}={bc!r} not recognized")
     return [_number(f"{spec.family}: {key}", spec.params[key],
-                    integer=isinstance(default, int))
+                    integer=isinstance(default, int), error=DomainError)
             if key in spec.params else default
             for key, default in defaults.items()]
 

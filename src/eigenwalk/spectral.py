@@ -29,7 +29,8 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
-from .geometry import GridDomain, _masses, _quarter_presence, realized_bc
+from .geometry import (GridDomain, _masses, _number, _quarter_presence,
+                       realized_bc)
 
 __all__ = [
     "SpectralError",
@@ -333,8 +334,7 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
     B either way; if any misses residual_tol * (1 + lam), or is NaN,
     raises SpectralError quoting it.  k must be a positive integer.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError("k must be a positive integer")
+    k = _number("k", k, integer=True)
     B = op.matrix
     n = op.n
     if k > n:
@@ -503,10 +503,7 @@ def zeta_bound(n: int, eps: float) -> float:
     so zeta_2(1) ~= 1.1658 and smaller eps buys a slower certified decay
     rate at the price of a larger constant.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not (0.0 < eps < math.inf):
-        raise ValueError("eps must be positive and finite")
+    n, eps = _number("n", n, integer=True), _number("eps", eps)
     lg = math.lgamma(n) - math.lgamma(n / 2.0)
     return (math.exp(n / 4.0) * math.sqrt(2.0) / (8.0 * n) ** (n / 4.0)
             * math.exp(0.5 * lg) * (1.0 + 1.0 / math.sqrt(eps)) ** (n / 2.0))

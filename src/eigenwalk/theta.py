@@ -32,9 +32,14 @@ import numpy as np
 from scipy.special import gammainc, jv, jvp
 
 from eigenwalk._rng import NormalChunks, batch_rng, map_batches
+from eigenwalk.geometry import _number
 
 TRUNCATION_TOL = 1e-12
 MAX_TERMS = 1_000_000
+# theta refuses a sum whose rounding bound, eps * sum |kept terms|, exceeds
+# this: the tolerance its values are checked to against independent series
+_ROUNDING_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 # Path streams are laid out in fixed-size batches, each with its own SFC64
 # generator keyed by (seed, stream, batch), so estimates are a pure function
@@ -86,9 +91,11 @@ def _newton_zeros(nu: float, k: int) -> np.ndarray:
 
 # One zero cache, per order nu, grown by whole-array replacement; stored
 # arrays are immutable, and growing one keeps its prefix bit for bit.  The
-# theta series caches only its coefficients, per dimension n, beside it.
+# theta series caches its coefficients per dimension n beside it, and their
+# running sums of magnitudes, stored first so they cover every coefficient.
 _ZEROS: dict[float, np.ndarray] = {}
 _COEFS: dict[int, np.ndarray] = {}
+_COEF_SUMS: dict[int, np.ndarray] = {}
 
 
 def _zeros(nu: float, k: int) -> np.ndarray:
@@ -105,12 +112,11 @@ def bessel_zeros(nu: float, k: int) -> np.ndarray:
 
     McMahon's expansion seeds a vectorized Newton iteration on J_nu, run to
     absolute residual < 1e-12 (RuntimeError if that fails).  Results are
-    cached per order.
+    cached per order; a bad k or nu raises ValueError.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if nu < -0.5:
-        raise ValueError("nu must be >= -0.5")
+    k = _number("k", k, integer=True)
+    if not nu >= -0.5:  # also refuses NaN
+        raise ValueError(f"nu must be >= -0.5, got {nu!r}")
     return _zeros(float(nu), k)[:k].copy()
 
 
@@ -123,6 +129,7 @@ def _series_terms(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         coef = zeros ** (nu - 1.0) / (
             2.0 ** (nu - 1.0) * math.gamma(nu + 1.0) * jv(nu + 1.0, zeros))
         coef.setflags(write=False)
+        _COEF_SUMS[n] = np.abs(coef).cumsum()
         _COEFS[n] = coef
     return _zeros(nu, k)[:k], coef[:k]
 
@@ -131,44 +138,52 @@ def theta(n: int, c: float) -> ThetaValue:
     """Exit probability theta_n(c), c = r^2/t, via the Dirichlet-ball series.
 
     The series is summed until the next term's magnitude drops below 1e-12;
-    ``truncation_error`` reports the first omitted term.  If truncation would
-    need more than 1e6 terms (c beyond ~4e11) a RuntimeError is raised rather
-    than returning a silently under-resolved value.
+    ``truncation_error`` reports the first omitted term.  ValueError, not
+    a silently wrong value, for an (n, c) out of reach: truncation needs
+    over 1e6 terms (c beyond ~4e11), or the rounding bound of the kept
+    terms, eps * sum |terms|, exceeds 1e-10 (n >= 6 at large c, where the
+    coefficients alternate and grow: theta_20(1e6) would read 1).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError("c must be positive and finite")
+    n, c = _number("n", n, integer=True), _number("c", c)
 
     # terms die once j_k^2 >> c and j_k ~ k*pi, so k* ~ sqrt(c ln(1/tol))/pi
     est = int(math.sqrt(c * math.log(1.0 / TRUNCATION_TOL)) / math.pi) + 16
     if est > MAX_TERMS:
-        raise RuntimeError(
-            f"theta: c={c:g} needs about {est} series terms (> {MAX_TERMS}); "
-            "refusing to under-resolve"
-        )
+        raise ValueError(f"theta: c={c:g} needs about {est} series terms "
+                         f"(> {MAX_TERMS}); refusing to under-resolve")
 
     # est terms suffice for n <= 2 at every c and for n <= 5 at c < 9e3;
     # a short pass grows 4-fold.  np.exp gives the same bits at every array
     # length, so the pass size changes no result, only its cost
     count = est
     while True:
-        zeros, coef = _series_terms(int(n), count)
-        terms = coef * np.exp(-zeros * zeros / c)
+        zeros, coef = _series_terms(n, count)
+        # x / -c is -(x / c) to the bit, one negation fewer than -x / c
+        terms = coef * np.exp(zeros * zeros / -c)
+        size = np.abs(terms)
         # the first term below the tolerance, past the leading one, which
         # always counts; index 1 when there is none
-        terms_used = int((np.abs(terms[1:]) < TRUNCATION_TOL).argmax()) + 1
-        first_omitted = float(abs(terms[terms_used]))
+        terms_used = int((size[1:] < TRUNCATION_TOL).argmax()) + 1
+        first_omitted = float(size[terms_used])
         if first_omitted < TRUNCATION_TOL:
             break
         if count >= MAX_TERMS:
-            raise RuntimeError("theta: series did not truncate within 1e6 terms")
+            raise ValueError(f"theta: the series for n={n}, c={c:g} did not "
+                             f"truncate within {MAX_TERMS} terms")
         count = min(4 * count, MAX_TERMS)
+    # |term_k| <= |a_k|, so the cached sums of |a_k| clear most calls
+    # without a pass over the kept terms
+    if _EPS * _COEF_SUMS[n][terms_used - 1] > _ROUNDING_TOL:
+        rounding = _EPS * float(size[:terms_used].sum())
+        if rounding > _ROUNDING_TOL:
+            raise ValueError(f"theta: the series for n={n}, c={c:g} cancels "
+                             f"to a rounding bound of {rounding:.3g} "
+                             f"(> {_ROUNDING_TOL:g})")
     # cumsum adds left to right, so this is the term-by-term sum's bits
     survival = float(terms[:terms_used].cumsum()[-1])
     p = min(1.0, max(0.0, 1.0 - survival))
-    return ThetaValue(n=int(n), c=float(c), p=p,
-                       truncation_error=first_omitted, terms_used=terms_used)
+    return ThetaValue(n=n, c=c, p=p, truncation_error=first_omitted,
+                      terms_used=terms_used)
 
 
 def theta_bound_gamma(n: int, c: float, eps: float) -> float:
@@ -177,8 +192,7 @@ def theta_bound_gamma(n: int, c: float, eps: float) -> float:
     Only the regime c >= 4n is accepted; the formula is an asymptotic
     statement and has no meaning for small c.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps, c = _number("eps", eps), _number("c", c)
     if c < 4 * n:
         raise ValueError(f"gamma bound requires c >= 4n (got c={c}, n={n})")
     return (1.0 + eps) / math.gamma(n / 2.0) * c ** (n / 2.0 - 1.0) * math.exp(-c / 4.0)
@@ -190,14 +204,14 @@ def gamma_tail_outside(n: int, c: float) -> float:
 
     A lower bound for theta_n(c): being outside at time t implies having
     exited by time t."""
-    return float(1.0 - gammainc(n / 2.0, c / 4.0))
+    return float(1.0 - gammainc(n / 2.0, _number("c", c) / 4.0))
 
 
 def theta_bound_reflection(n: int, c: float) -> float:
     """Closed-form bound 2^(3n/2)/pi^(n/2) * e^(-c/2), quoted for c >= n.
 
     Raises for c < n (outside the quoted regime)."""
-    if c < n:
+    if _number("c", c) < n:
         raise ValueError(f"reflection bound requires c >= n (got c={c}, n={n})")
     return 2.0 ** (1.5 * n) / math.pi ** (n / 2.0) * math.exp(-c / 2.0)
 
@@ -205,9 +219,7 @@ def theta_bound_reflection(n: int, c: float) -> float:
 def cube_escape(n: int, c: float) -> float:
     """The inscribed-cube expression (2*Phi(-sqrt(c/n)))^n behind the
     reflection bound, with Phi the standard normal CDF."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return (2.0 * normal_cdf(-math.sqrt(c / n))) ** n
+    return (2.0 * normal_cdf(-math.sqrt(_number("c", c) / n))) ** n
 
 
 def normal_cdf(x: float) -> float:
@@ -218,25 +230,16 @@ def normal_cdf(x: float) -> float:
 def theta_inverse(n: int, p: float) -> float:
     """Solve theta_n(c) = p for c by bisection, to |theta(c) - p| < 1e-9.
 
-    theta_n is a strictly decreasing bijection of (0, inf) onto (0, 1); the
-    initial bracket [1e-6, 1e6] is expanded geometrically if p falls outside
-    its image."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie strictly between 0 and 1")
-    lo, hi = 1e-6, 1e6
-    for _ in range(64):
-        if theta(n, lo).p >= p:
-            break
-        lo /= 8.0
-    else:
-        raise RuntimeError("theta_inverse: could not bracket from below")
-    for _ in range(8):
-        try:
-            if theta(n, hi).p <= p:
-                break
-        except RuntimeError:
-            break  # hi beyond the resolvable range, where theta is far below any p
-        hi *= 8.0
+    theta_n decreases strictly from 1 to 0 on (0, inf).  p must lie in
+    (1e-9, 1 - 1e-9), where that tolerance pins c down, else ValueError.
+    The bracket [1e-6, 1] (theta_n(1e-6) is 1 for every n: the first
+    Bessel zero is at least pi/2) doubles upward until theta_n(hi) <= p,
+    short of the c where the series cancels."""
+    if not 1e-9 < _number("p", p) < 1.0 - 1e-9:
+        raise ValueError(f"p must lie in (1e-9, 1 - 1e-9), got {p!r}")
+    lo, hi = 1e-6, 1.0
+    while theta(n, hi).p > p:
+        lo, hi = hi, 2.0 * hi
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         val = theta(n, mid).p
@@ -346,12 +349,8 @@ def mc_exit_probability(n: int, c: float, n_paths: int, seed: int = 0,
     The walk takes 1/dt_factor steps of dt_factor*t, so dt_factor must
     divide 1: 0.07 would take 14 steps and stop at 0.98*t.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
-    if not (0.0 < c < math.inf):
-        raise ValueError("c must be positive and finite")
-    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
-        raise ValueError("n_paths must be a positive integer")
+    n, c = _number("n", n, integer=True), _number("c", c)
+    n_paths = _number("n_paths", n_paths, integer=True)
     if not (0.0 < dt_factor <= 0.1):
         raise ValueError("dt_factor must be in (0, 0.1]")
     n_steps = int(round(1.0 / dt_factor))
@@ -381,7 +380,7 @@ def interval_survival_images(c: float) -> float:
     Independent closed-form cross-check of the n=1 Bessel series."""
     # per-coordinate variance 2t with r = 1, so the CDF argument unit is
     # a = 1/sqrt(2t) = sqrt(c/2)
-    a = math.sqrt(c / 2.0)
+    a = math.sqrt(_number("c", c) / 2.0)
     total = 2.0 * normal_cdf(a) - 1.0
     for k in range(1, 200):
         sgn = -1.0 if k % 2 else 1.0

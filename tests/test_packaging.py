@@ -83,20 +83,53 @@ def test_no_dead_definitions():
     assert not dead, f"defined but named nowhere else: {dead}"
 
 
+# Built-in exceptions other than ValueError and TypeError that the package
+# may make, each where it marks a broken invariant, never a refusal of
+# input: (module, enclosing function, class).
+BROKEN_INVARIANTS = {
+    ("_rng", "map_batches", "RuntimeError"),  # a worker's traceback, as cause
+    ("_rng", "_send_share", "RuntimeError"),  # a worker's unpicklable result
+    ("_rng", "_reap", "RuntimeError"),  # a worker dead without a result
+    ("theta", "_newton_zeros", "RuntimeError"),  # Newton's residual
+    ("theta", "theta_inverse", "RuntimeError"),  # bisection's convergence
+}
+
+
 def test_only_three_error_classes():
     """The package defines no exception class but DomainError,
     SpectralError and BrownianError, the errors a caller catches to turn
     a refusal of a built object into a record (see the package
     docstring).  A class counts as an exception when a base is a built-in
-    exception or another such class of the package."""
+    exception or another such class of the package.  Arguments are
+    refused with ValueError or TypeError: any other built-in exception
+    made or raised outside BROKEN_INVARIANTS fails here, RuntimeError
+    included."""
     import builtins
 
+    def builtin_error(name):
+        cls = getattr(builtins, name, None)
+        return (isinstance(cls, type) and issubclass(cls, BaseException)
+                and name not in ("ValueError", "TypeError"))
+
     bases = {}  # class name -> the last dotted part of each base
+    made = set()  # (module, enclosing function, built-in exception class)
     for path in sorted((PYPROJECT.parent / "src" / "eigenwalk").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        scopes = {}  # node -> its innermost enclosing function's name
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                scopes[child] = (node.name if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    else scopes.get(node, "<module>"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 bases[node.name] = [ast.unparse(b).rsplit(".", 1)[-1]
                                     for b in node.bases]
+            target = (node.func if isinstance(node, ast.Call)
+                      else node.exc if isinstance(node, ast.Raise) else None)
+            if isinstance(target, ast.Name) and builtin_error(target.id):
+                made.add((path.stem, scopes[node], target.id))
+    assert made <= BROKEN_INVARIANTS, sorted(made - BROKEN_INVARIANTS)
 
     def is_error(name, seen=()):
         builtin = getattr(builtins, name, None)

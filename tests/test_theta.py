@@ -18,6 +18,7 @@ fails.  The module docstring of eigenwalk.theta explains the convention.
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,11 +133,26 @@ def test_theta_sums_the_series_as_the_term_by_term_loop():
             assert (got.p, got.truncation_error, got.terms_used) == want, (n, c)
 
 
+@pytest.mark.parametrize("n, c", [(20, 1e6), (40, 4096.0), (10, 1e8)])
+def test_theta_refuses_a_sum_lost_to_cancellation(n, c):
+    """For n >= 6 the coefficients alternate and grow, so at large c the
+    double-precision sum is noise (1.0, 1.0 and 1.7e-3 here, where theta
+    is about 0).  theta refuses once eps * sum |kept terms| exceeds 1e-10,
+    naming n, c and the bound."""
+    with pytest.raises(ValueError, match=re.escape(f"n={n}, c={c:g} cancels")):
+        theta(n, c)
+
+
+def test_bessel_zeros_refuses_a_nan_order():
+    with pytest.raises(ValueError, match="nu"):
+        bessel_zeros(math.nan, 3)
+
+
 def test_theta_huge_c_raises_diagnostic():
     # c around 1e12 would need more than a million series terms; the value
     # is 0 to hundreds of digits, and the function refuses rather than
     # silently spending minutes growing the zero cache.
-    with pytest.raises(RuntimeError, match="terms"):
+    with pytest.raises(ValueError, match="terms"):
         theta(2, 1e12)
 
 
@@ -240,6 +256,35 @@ def test_inverse_rejects_bad_probabilities():
     for p in (0.0, 1.0, -0.2, 1.3, math.nan):
         with pytest.raises(ValueError):
             theta_inverse(2, p)
+
+
+@pytest.mark.parametrize("p", [1e-12, 1e-9, 1.0 - 1e-9, 1.0 - 1e-12])
+def test_inverse_refuses_probabilities_its_tolerance_cannot_resolve(p):
+    """Within 1e-9 of 0 or 1 every c far enough out meets |theta - p| <
+    1e-9, so a returned c would say nothing (1000.0 and 0.001 did)."""
+    with pytest.raises(ValueError, match="1e-9"):
+        theta_inverse(2, p)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_inverse_in_high_dimensions(n):
+    """The bracket doubles up from c = 1 and stays short of the c where the
+    series cancels; started from c = 1e6 it ran into that noise at n = 40
+    and never converged.  The root is checked against the series summed
+    in 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    c = theta_inverse(n, 0.5)
+    assert abs(theta(n, c).p - 0.5) < 1e-9
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(n) / 2 - 1
+        survival, k, term = 0, 1, 1
+        while abs(term) > 1e-25:
+            j = mpmath.besseljzero(nu, k)
+            term = (j ** (nu - 1) * mpmath.exp(-j * j / c)
+                    / (2 ** (nu - 1) * mpmath.gamma(nu + 1)
+                       * mpmath.besselj(nu + 1, j)))
+            survival, k = survival + term, k + 1
+        assert abs(float(1 - survival) - 0.5) < 1e-9 + 1e-12
 
 
 # ---------------------------------------------------------------------------
