@@ -6,14 +6,15 @@ function and its bounds (`theta`), and killed/reflected path simulation
 (`brownian`).  Each of these names is the submodule; the ball-exit
 function itself is `eigenwalk.theta.theta`.
 
-Refusals follow one rule, without exceptions.  An argument out of range
-(k, t, c, p, eta, a path count, time grid or start point, a bc_mode name,
-an f0 or field array) raises ValueError.  A built object that does not
-fit the call, or an estimate that fails its own check, raises its
-module's error, one of the package's three exception classes: DomainError
-(a ValueError) for a spec that cannot be realized, SpectralError for a
-result under the wrong condition or a solve that fails its certificate,
-BrownianError for walls other than the result's.
+Refusals follow one rule, without exceptions.  A bad argument raises
+ValueError before any work: a start point, time grid, bc_mode name, f0
+or field array, or a number out of range (one check reads every number:
+t >= 0, 0 < eta <= 1, nu >= -1/2, seeds >= 0, p in (0, 1), the rest
+> 0).  A built object that does not fit the call, or an estimate that
+fails its own check, raises one of the three exception classes:
+DomainError (a ValueError) for a spec or spacing that cannot be
+realized, SpectralError for a result under the wrong condition or a
+failed certificate, BrownianError for walls other than the result's.
 """
 
 from eigenwalk.geometry import (

@@ -36,7 +36,6 @@ import numpy as np
 
 from eigenwalk.geometry import _number
 
-_MASK64 = (1 << 64) - 1
 _TILE = 16384  # raw words per fill_normals tile: 128 KB of bits
 _ULP = np.float32(2.0 ** -24)  # one unit of a 24-bit float32 draw
 _ANGLE_ULP = np.float32(2.0 * math.pi) * _ULP  # exact: a power-of-two scaling
@@ -46,7 +45,7 @@ _said_serial = False  # the no-fork fallback is logged once per process
 
 def batch_rng(seed: int, tag: int, batch_index: int) -> np.random.Generator:
     """Independent generator for one (seed, stream, batch) triple."""
-    ss = np.random.SeedSequence([seed & _MASK64, tag, batch_index])
+    ss = np.random.SeedSequence([seed, tag, batch_index])
     return np.random.Generator(np.random.SFC64(ss))
 
 

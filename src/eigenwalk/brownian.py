@@ -135,8 +135,8 @@ class PathConfig:
     per domain to min(h^2/4, horizon/1000), keeping the spatial step below
     the lattice resolution.  The horizon is divided into an integer number
     of steps, at least 10, so the effective dt is the requested one rounded
-    to land exactly on the horizon.  Bad times, dt or n_paths (an integer
-    of at least 100) raise ValueError.
+    to land exactly on the horizon.  Bad times, dt, n_paths (an integer
+    of at least 100) or seed (an integer of at least 0) raise ValueError.
     """
 
     t_max: float
@@ -147,8 +147,8 @@ class PathConfig:
 
     def __post_init__(self):
         t_max = _number("t_max", self.t_max)
-        if _number("n_paths", self.n_paths, integer=True) < 100:
-            raise ValueError("n_paths must be >= 100")
+        _number("n_paths", self.n_paths, integer=True, least=100)
+        _number("seed", self.seed, integer=True, least=0)
         if self.dt is not None and _number("dt", self.dt) > t_max / 10:
             raise ValueError("dt must be <= t_max/10")
 
@@ -595,6 +595,7 @@ def survival_probability(dom: GridDomain, x, t: float, cfg: PathConfig,
     kern = _Kernel(dom, "mixed")
     start = _start_point(kern, x)
     if t == 0:
+        _number("t", t, least=0)  # refuses False, which also equals 0
         return PathEstimate(mean=1.0, stderr=0.0, n_paths=cfg.n_paths,
                             seed=cfg.seed, bias_note="t=0: survival is 1")
     n_steps, dt = cfg.resolve_steps(kern.h, horizon=t)
@@ -627,17 +628,15 @@ def feynman_kac(dom: GridDomain, result: SpectralResult, x, t: float,
                                and np.array_equal(dom.code(bc), src.code(bc))):
         raise BrownianError(f"{dom.name!r} is not the lattice and {bc} "
                             f"walls the spectrum was solved on")
-    if isinstance(mode_index, bool) or not (
-            isinstance(mode_index, (int, np.integer))
-            and 0 <= mode_index < result.k):
-        raise ValueError(f"mode_index {mode_index!r} is not one of the "
-                         f"{result.k} computed modes")
+    mode_index = _number("mode_index", mode_index, integer=True, least=0,
+                         most=result.k - 1)
     kern = _Kernel(dom, bc)
     start = _start_point(kern, x)
     grid = result.eigenfields[mode_index]
     lam = float(result.eigenvalues[mode_index])
     phi_x = float(_bilinear(kern, grid, start[0], start[1])[0])
     if t == 0:
+        _number("t", t, least=0)  # refuses False, which also equals 0
         return FeynmanKacReport(mean=phi_x, stderr=0.0, exact=phi_x,
                                 z_score=0.0, n_paths=cfg.n_paths,
                                 seed=cfg.seed, bias_note="t=0: degenerate")

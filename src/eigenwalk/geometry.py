@@ -107,9 +107,8 @@ class DomainSpec:
         if not _one_of(self.family, _FAMILIES):
             raise DomainError(f"unknown family {self.family!r}; "
                               f"have {sorted(_FAMILIES)}")
-        if (res := _number("resolution", self.resolution, integer=True,
-                           error=DomainError)) < 16:
-            raise DomainError("resolution must be >= 16")
+        res = _number("resolution", self.resolution, integer=True,
+                      error=DomainError, least=16)
         if not _one_of(self.bc_default, _BC_NAMES):
             raise DomainError(f"bc_default must be one of {sorted(_BC_NAMES)}")
         for key in ("params", "bc_overrides"):
@@ -181,8 +180,8 @@ class GridDomain:
 
     ``labels`` is one wall label (DIRICHLET or NEUMANN) for every wall, or
     an array of them broadcast to (4, ny, nx), a label per direction
-    (+x, -x, +y, -y) and node; any other label raises DomainError.  Only
-    the wall code built from them is kept.
+    (+x, -x, +y, -y) and node.  Any other label, or an h that is not
+    positive and finite, raises DomainError.  Only the wall code is kept.
 
     Attributes
     ----------
@@ -207,7 +206,7 @@ class GridDomain:
                  mask: np.ndarray, labels,
                  regions: dict[str, np.ndarray] | None = None):
         self.name = name
-        self.h = float(h)
+        self.h = _number("h", h, error=DomainError)
         self.origin = (float(origin[0]), float(origin[1]))
         self.mask = mask.astype(bool)
         self.mask.setflags(write=False)
@@ -267,14 +266,14 @@ class GridDomain:
 
     def nearest_node(self, x, y):
         """Lattice indices of the node whose cell contains (x, y); raises
-        DomainError for a coordinate that is not finite or too large to
+        ValueError for a coordinate that is not finite or too large to
         index."""
         x0, y0 = self.origin
         iy = np.rint((np.asarray(y, dtype=float) - y0) / self.h)
         ix = np.rint((np.asarray(x, dtype=float) - x0) / self.h)
         big = 2.0 ** 62  # no int64 index beyond it (nor at inf or nan)
         if not ((np.abs(iy) < big).all() and (np.abs(ix) < big).all()):
-            raise DomainError(f"cannot index the lattice at ({x}, {y})")
+            raise ValueError(f"cannot index the lattice at ({x}, {y})")
         return iy.astype(int), ix.astype(int)
 
     def contains(self, x, y):
@@ -440,25 +439,36 @@ def _one_of(value, names) -> bool:
     return isinstance(value, str) and value in names
 
 
-def _number(name: str, value, integer: bool = False, error=ValueError):
-    """value as a float, or as an int where ``integer``: a positive, finite
-    real number, integral where ``integer``.  A bool, a string, a list and
-    a float where an integer is asked for are refused, not converted.  The
-    package's one check of a positive numeric argument; it raises ``error``,
-    ValueError unless a spec reader asks for DomainError."""
-    kind = type(value)  # exact types first: theta checks two per call
-    if (kind is int or kind is float and not integer) and 0 < value < math.inf:
-        return value if integer else float(value)
-    if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if integer else numbers.Real):
-        if integer:
-            raise error(f"{name} must be an integer, got {value!r}: it "
-                        "must be a positive integer")
-        raise error(f"{name} must be a real number, got {value!r}")
-    value = int(value) if integer else float(value)
-    if not 0 < value < math.inf:  # also refuses NaN
-        raise error(f"{name} must be positive and finite, got {value}")
-    return value
+def _number(name: str, value, integer: bool = False, error=ValueError,
+            least=None, most=math.inf):
+    """value as a float, or an int where ``integer``: finite, in [least,
+    most], or in (0, most] where least is None.  The package's one numeric
+    check; it also refuses a bool, a string, a float for an integer and a
+    real beyond the floats, raising ``error`` (ValueError or DomainError)."""
+    if type(value) is not (int if integer else float):  # exact: no ABCs
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integer else numbers.Real):
+            raise error(f"{name} must be an integer, got {value!r}: it must "
+                        f"be {_wanted(True, least, most)}" if integer else
+                        f"{name} must be a real number, got {value!r}")
+        try:
+            value = int(value) if integer else float(value)
+        except OverflowError:  # reported as the infinity it rounds to
+            value = math.inf if value > 0 else -math.inf
+    if ((0 < value if least is None else least <= value)
+            and value <= most and value < math.inf):  # also refuses NaN
+        return value
+    raise error(f"{name} must be {_wanted(integer, least, most)}, "
+                f"got {value}")
+
+
+def _wanted(integer: bool, least, most) -> str:
+    """What _number asks of a value, in words."""
+    if least is None and most == math.inf:
+        return "a positive integer" if integer else "positive and finite"
+    return (f"{'an integer' if integer else 'a finite number'} in "
+            f"{'(0' if least is None else f'[{least}'}, {most}"
+            f"{']' if most < math.inf else ')'}")
 
 
 def _params(spec: DomainSpec, defaults: dict, own=(), parts=()) -> list:
@@ -736,8 +746,7 @@ def extract_level_set(dom: GridDomain, field: np.ndarray, eta: float) -> LevelSe
     are all active; saddle cells are split by comparing the cell's average
     corner value against eta.  Vertices come out in physical coordinates.
     """
-    if not (0.0 < eta <= 1.0):
-        raise ValueError("eta must be in (0, 1]")
+    eta = _number("eta", eta, most=1)
     field = np.asarray(field, dtype=float)
     if field.shape != dom.mask.shape:
         raise ValueError("field shape must match the domain lattice")

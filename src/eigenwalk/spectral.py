@@ -332,9 +332,12 @@ def solve_eigs(op: LaplaceOperator, k: int = 12, seed: int = 0,
     Lanczos run does not converge raises SpectralError naming the block
     and the pairs it was asked for.  Residuals are measured on the full
     B either way; if any misses residual_tol * (1 + lam), or is NaN,
-    raises SpectralError quoting it.  k must be a positive integer.
+    raises SpectralError quoting it.  k must be a positive integer, seed
+    an integer >= 0 and residual_tol positive, else ValueError up front.
     """
     k = _number("k", k, integer=True)
+    _number("seed", seed, integer=True, least=0)
+    residual_tol = _number("residual_tol", residual_tol)
     B = op.matrix
     n = op.n
     if k > n:
@@ -458,8 +461,7 @@ def heat_semigroup(result: SpectralResult, f0, t: float) -> HeatState:
     component is bounded by exp(-lam_k * t) * ||f0 - proj f0||, its mass
     norm, reported as HeatState.truncation_bound.
     """
-    if not 0.0 <= t < math.inf:  # also refuses NaN
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    t = _number("t", t, least=0)
     op = result.operator
     f0_vec = op.field_to_vector(f0)
     if not np.isfinite(f0_vec).all():
@@ -473,7 +475,7 @@ def heat_semigroup(result: SpectralResult, f0, t: float) -> HeatState:
     bound = math.exp(-float(lam[-1]) * t) * tail_norm
     g = op.vector_to_field((coeffs * np.exp(-lam * t)) @ fields)
     g.setflags(write=False)
-    return HeatState(t=float(t), field=g, bc_mode=result.bc_mode,
+    return HeatState(t=t, field=g, bc_mode=result.bc_mode,
                      truncation_bound=bound)
 
 

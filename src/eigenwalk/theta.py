@@ -89,22 +89,25 @@ def _newton_zeros(nu: float, k: int) -> np.ndarray:
     return x
 
 
-# One zero cache, per order nu, grown by whole-array replacement; stored
-# arrays are immutable, and growing one keeps its prefix bit for bit.  The
-# theta series caches its coefficients per dimension n beside it, and their
-# running sums of magnitudes, stored first so they cover every coefficient.
-_ZEROS: dict[float, np.ndarray] = {}
-_COEFS: dict[int, np.ndarray] = {}
-_COEF_SUMS: dict[int, np.ndarray] = {}
+# One series table per Bessel order nu: the zeros of J_nu, the coefficients
+# a_{nu,k} of dimension n = 2*nu + 2 and their running sums of magnitudes,
+# immutable and replaced whole to grow, which keeps every prefix's bits.
+_SERIES: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _zeros(nu: float, k: int) -> np.ndarray:
-    """The cached, read-only zeros of J_nu: at least the first k."""
-    cached = _ZEROS.get(nu)
-    if cached is None or cached.size < k:
-        cached = _newton_zeros(nu, max(k, 128, 0 if cached is None else 2 * cached.size))
-        _ZEROS[nu] = cached
-    return cached
+def _series(nu: float, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cached (zeros, coefficients, running |coefficient| sums) of
+    order nu, each at least k long."""
+    zeros = _SERIES[nu][0] if nu in _SERIES else np.empty(0)
+    if zeros.size < k:
+        zeros = _newton_zeros(nu, max(k, 128, 2 * zeros.size))
+        coef = zeros ** (nu - 1.0) / (
+            2.0 ** (nu - 1.0) * math.gamma(nu + 1.0) * jv(nu + 1.0, zeros))
+        sums = np.abs(coef).cumsum()
+        coef.setflags(write=False)
+        sums.setflags(write=False)
+        _SERIES[nu] = zeros, coef, sums
+    return _SERIES[nu]
 
 
 def bessel_zeros(nu: float, k: int) -> np.ndarray:
@@ -115,23 +118,7 @@ def bessel_zeros(nu: float, k: int) -> np.ndarray:
     cached per order; a bad k or nu raises ValueError.
     """
     k = _number("k", k, integer=True)
-    if not nu >= -0.5:  # also refuses NaN
-        raise ValueError(f"nu must be >= -0.5, got {nu!r}")
-    return _zeros(float(nu), k)[:k].copy()
-
-
-def _series_terms(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zeros j_{nu,k} and coefficients a_{nu,k} for dimension n, cached."""
-    nu = n / 2.0 - 1.0
-    coef = _COEFS.get(n)
-    if coef is None or coef.size < k:
-        zeros = _zeros(nu, k)
-        coef = zeros ** (nu - 1.0) / (
-            2.0 ** (nu - 1.0) * math.gamma(nu + 1.0) * jv(nu + 1.0, zeros))
-        coef.setflags(write=False)
-        _COEF_SUMS[n] = np.abs(coef).cumsum()
-        _COEFS[n] = coef
-    return _zeros(nu, k)[:k], coef[:k]
+    return _series(_number("nu", nu, least=-0.5), k)[0][:k].copy()
 
 
 def theta(n: int, c: float) -> ThetaValue:
@@ -157,9 +144,9 @@ def theta(n: int, c: float) -> ThetaValue:
     # length, so the pass size changes no result, only its cost
     count = est
     while True:
-        zeros, coef = _series_terms(n, count)
+        zeros, coef, coef_sums = _series(n / 2.0 - 1.0, count)
         # x / -c is -(x / c) to the bit, one negation fewer than -x / c
-        terms = coef * np.exp(zeros * zeros / -c)
+        terms = coef[:count] * np.exp(zeros[:count] ** 2 / -c)
         size = np.abs(terms)
         # the first term below the tolerance, past the leading one, which
         # always counts; index 1 when there is none
@@ -173,7 +160,7 @@ def theta(n: int, c: float) -> ThetaValue:
         count = min(4 * count, MAX_TERMS)
     # |term_k| <= |a_k|, so the cached sums of |a_k| clear most calls
     # without a pass over the kept terms
-    if _EPS * _COEF_SUMS[n][terms_used - 1] > _ROUNDING_TOL:
+    if _EPS * coef_sums[terms_used - 1] > _ROUNDING_TOL:
         rounding = _EPS * float(size[:terms_used].sum())
         if rounding > _ROUNDING_TOL:
             raise ValueError(f"theta: the series for n={n}, c={c:g} cancels "
@@ -192,7 +179,8 @@ def theta_bound_gamma(n: int, c: float, eps: float) -> float:
     Only the regime c >= 4n is accepted; the formula is an asymptotic
     statement and has no meaning for small c.
     """
-    eps, c = _number("eps", eps), _number("c", c)
+    n, c = _number("n", n, integer=True), _number("c", c)
+    eps = _number("eps", eps)
     if c < 4 * n:
         raise ValueError(f"gamma bound requires c >= 4n (got c={c}, n={n})")
     return (1.0 + eps) / math.gamma(n / 2.0) * c ** (n / 2.0 - 1.0) * math.exp(-c / 4.0)
@@ -204,14 +192,16 @@ def gamma_tail_outside(n: int, c: float) -> float:
 
     A lower bound for theta_n(c): being outside at time t implies having
     exited by time t."""
-    return float(1.0 - gammainc(n / 2.0, _number("c", c) / 4.0))
+    n, c = _number("n", n, integer=True), _number("c", c)
+    return float(1.0 - gammainc(n / 2.0, c / 4.0))
 
 
 def theta_bound_reflection(n: int, c: float) -> float:
     """Closed-form bound 2^(3n/2)/pi^(n/2) * e^(-c/2), quoted for c >= n.
 
     Raises for c < n (outside the quoted regime)."""
-    if _number("c", c) < n:
+    n, c = _number("n", n, integer=True), _number("c", c)
+    if c < n:
         raise ValueError(f"reflection bound requires c >= n (got c={c}, n={n})")
     return 2.0 ** (1.5 * n) / math.pi ** (n / 2.0) * math.exp(-c / 2.0)
 
@@ -219,7 +209,8 @@ def theta_bound_reflection(n: int, c: float) -> float:
 def cube_escape(n: int, c: float) -> float:
     """The inscribed-cube expression (2*Phi(-sqrt(c/n)))^n behind the
     reflection bound, with Phi the standard normal CDF."""
-    return (2.0 * normal_cdf(-math.sqrt(_number("c", c) / n))) ** n
+    n, c = _number("n", n, integer=True), _number("c", c)
+    return (2.0 * normal_cdf(-math.sqrt(c / n))) ** n
 
 
 def normal_cdf(x: float) -> float:
@@ -340,19 +331,19 @@ def mc_exit_probability(n: int, c: float, n_paths: int, seed: int = 0,
     sphere is treated as locally flat between steps).  A step landing outside
     the ball zeroes the weight.
 
-    Deterministic for fixed (seed, n_paths) independent of worker count:
-    paths live in fixed-size counter-keyed batches reduced in batch order.
+    Deterministic for fixed (seed, n_paths), seed an integer >= 0, at any
+    worker count: counter-keyed batches of fixed size, reduced in order.
     `threads` is the number of worker processes (_rng.map_batches); the
     same bits come out at any count.  Do not call this with threads > 1
     from more than one thread at once, since forking is not safe there.
 
-    The walk takes 1/dt_factor steps of dt_factor*t, so dt_factor must
-    divide 1: 0.07 would take 14 steps and stop at 0.98*t.
+    The walk takes 1/dt_factor steps of dt_factor*t, so dt_factor, in
+    (0, 0.1], must divide 1: 0.07 would take 14 steps and stop at 0.98*t.
     """
     n, c = _number("n", n, integer=True), _number("c", c)
     n_paths = _number("n_paths", n_paths, integer=True)
-    if not (0.0 < dt_factor <= 0.1):
-        raise ValueError("dt_factor must be in (0, 0.1]")
+    _number("seed", seed, integer=True, least=0)
+    dt_factor = _number("dt_factor", dt_factor, most=0.1)
     n_steps = int(round(1.0 / dt_factor))
     if abs(n_steps * dt_factor - 1.0) > 1e-9:
         raise ValueError(f"dt_factor must be 1/N for an integer N: "
@@ -392,8 +383,7 @@ def interval_survival_images(c: float) -> float:
     return total
 
 
-# warm the caches for the dimensions the lab actually uses (n = 1, 2, 3),
-# so concurrent first calls only ever read immutable arrays
-for _n in (1, 2, 3):
-    _series_terms(_n, 128)
-del _n
+# warm the tables for n = 1, 2, 3: concurrent first calls only read them
+for _nu in (-0.5, 0.0, 0.5):
+    _series(_nu, 128)
+del _nu

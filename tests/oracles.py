@@ -278,13 +278,13 @@ def theta_series(n, c):
     """theta_n(c) summed term by term, as a Python loop: the (p,
     truncation_error, terms_used) that `theta.theta` must give bit for bit.
 
-    Reads the package's zeros and coefficients (`theta._series_terms`), so
+    Reads the package's zeros and coefficients (`theta._series`), so
     it checks where the sum stops and how it adds, not the series itself.
     The sum stops before the first term after the leading one whose
     magnitude is below `theta.TRUNCATION_TOL`; the term count starts at 64
     and grows fourfold, each growth adding only the new terms.
     """
-    from eigenwalk.theta import MAX_TERMS, TRUNCATION_TOL, _series_terms
+    from eigenwalk.theta import MAX_TERMS, TRUNCATION_TOL, _series
 
     survival = 0.0
     terms_used = 0
@@ -292,7 +292,7 @@ def theta_series(n, c):
     count = 64
     start = 1
     while True:
-        zeros, coef = _series_terms(int(n), count)
+        zeros, coef, _ = (a[:count] for a in _series(n / 2.0 - 1.0, count))
         t_all = coef * np.exp(-zeros * zeros / c)
         done = False
         for i in range(start - 1, count):

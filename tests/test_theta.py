@@ -204,15 +204,15 @@ def test_zeros_match_mpmath():
 
 
 def test_series_reads_the_one_zero_cache():
-    """theta's series takes its zeros from the cache bessel_zeros fills,
-    and a zero does not depend on how many were asked for, so growing the
-    cache leaves every stored zero as it was."""
+    """theta's series and bessel_zeros read one table per order, and a
+    zero does not depend on how many were asked for, so growing the table
+    leaves every stored zero as it was."""
     import eigenwalk.theta as T
 
-    zeros, coef = T._series_terms(2, 200)
-    assert np.shares_memory(zeros, T._ZEROS[0.0])
-    assert np.array_equal(zeros, bessel_zeros(0.0, 200))
-    assert not coef.flags.writeable and not T._ZEROS[0.0].flags.writeable
+    zeros, coef, sums = T._series(0.0, 200)
+    assert zeros is T._SERIES[0.0][0] and zeros.size >= 200
+    assert np.array_equal(zeros[:200], bessel_zeros(0.0, 200))
+    assert not any(a.flags.writeable for a in (zeros, coef, sums))
     assert np.array_equal(T._newton_zeros(0.0, 10),
                           T._newton_zeros(0.0, 3000)[:10])
 
